@@ -18,6 +18,13 @@ RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server
 race:
 	$(GO) test -race -short $(RACE_PKGS)
 
+# fuzz runs the native fuzz target over the server's query parsing
+# (intParam, affinityParam, the timeout parameter) for a short, fixed time.
+# Its committed seed corpus (server/testdata/fuzz) already runs in tier-1.
+.PHONY: fuzz
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzServeQuery -fuzztime 10s ./server
+
 .PHONY: vet
 vet:
 	$(GO) vet ./...
@@ -47,9 +54,10 @@ fmt-check:
 	fi
 
 # check is the local CI entry point: static gates, tier-1, the race tier,
-# and the serve/load integration pipeline.
+# the short fuzz tier, the allocation gate and the serve/load integration
+# pipeline.
 .PHONY: check
-check: fmt-check vet lint build test race bench-gate integration
+check: fmt-check vet lint build test race fuzz bench-gate integration
 
 .PHONY: bench
 bench:

@@ -1,5 +1,6 @@
 // Benchmarks regenerating every experiment of the paper (one benchmark
-// family per table/figure) plus the ablations of DESIGN.md. The cmd/
+// family per table/figure) plus three ablations of the runtime's design
+// choices, each described at its benchmarks. The cmd/
 // drivers print the paper-style tables with core-count sweeps; these
 // benchmarks pin the same workloads into `go test -bench` form at fixed
 // (GOMAXPROCS) parallelism so regressions are visible in CI.
@@ -14,7 +15,11 @@
 //	Fig.6  -> BenchmarkFig6*               (cmd/xkepx -exp fig6)
 //	Fig.7  -> BenchmarkFig7Sparse*         (cmd/xkspcholesky)
 //	Fig.8  -> BenchmarkFig8EPX*            (cmd/xkepx -exp fig8)
-//	A1..A4 -> BenchmarkAblation*
+//
+//	steal-request aggregation on/off   -> BenchmarkAblationAggregation*
+//	adaptive loop vs a task per chunk  -> BenchmarkAblationLoop*
+//	central ready list vs deques       -> BenchmarkAblationCentralList,
+//	                                      BenchmarkAblationDistributedDeques
 package xkaapi_test
 
 import (
@@ -321,9 +326,11 @@ func BenchmarkFig7SparseOpenMP(b *testing.B) {
 	benchSparse(b, func(m *skyline.Matrix) error { return skyline.FactorGomp(tm, m) })
 }
 
-// --- Ablations (DESIGN.md A1..A4) ---
+// --- Ablations ---
 
-// A1: steal-request aggregation on/off, on the steal-heavy fib workload.
+// Steal-request aggregation on/off, on the steal-heavy fib workload: with
+// aggregation one combiner serves every pending thief of a victim in one
+// pass; without it each thief steals for itself.
 func BenchmarkAblationAggregationOn(b *testing.B) {
 	rt := xkaapi.New()
 	defer rt.Close()
@@ -344,9 +351,10 @@ func BenchmarkAblationAggregationOff(b *testing.B) {
 	}
 }
 
-// A2: adaptive foreach (on-demand splitting) vs a task per chunk, the
-// design argument of §II-D/§II-E: the adaptive loop creates tasks only when
-// thieves actually ask.
+// Adaptive foreach (on-demand splitting) vs a task per chunk, the design
+// argument of §II-D/§II-E: the adaptive loop creates tasks only when
+// thieves actually ask, where the eager version spawns one per 1024-index
+// chunk up front.
 const ablLoopN = 1 << 20
 
 func ablLoopBody(lo, hi int, sink *int64) {
@@ -390,8 +398,10 @@ func BenchmarkAblationLoopTaskPerChunk(b *testing.B) {
 	}
 }
 
-// A4: centralized ready list vs distributed deques at fixed (fine) grain —
-// the isolated scheduler comparison behind Fig. 2.
+// Centralized ready list vs distributed deques at fixed (fine) grain: the
+// same QUARK-style tiled Cholesky (n=384, nb=32) on quark's native engine,
+// one shared ready list, and on the Kaapi engine, per-worker work-stealing
+// deques — the isolated scheduler comparison behind Fig. 2.
 func BenchmarkAblationCentralList(b *testing.B) {
 	q := quark.New(0, quark.EngineNative)
 	defer q.Delete()

@@ -16,9 +16,9 @@ import (
 // robustness harness: with panic injection armed at every stage boundary the
 // scheduler owns — spawn (runBody before a fork-join or dataflow body),
 // steal (injected panics land on thieves as often as on owners), adaptive
-// split/extract (the loop-panic site in runChunk) and batch-style fan-out
-// (one root spawning many independent children, the shape server batching
-// submits) — every paradigm layer that rides the shared core pool must keep
+// split/extract (the loop-panic site in runChunk) and flat fan-out (one
+// root spawning many independent children) — every paradigm layer that
+// rides the shared core pool must keep
 // its contract: each Wait returns (no hangs), failures surface only as
 // *PanicError carrying the injected value (or cancellations downstream of
 // one), the pool keeps serving, and the drained fleet balances Spawned ==
@@ -139,8 +139,7 @@ func sweepOnce(t *testing.T, rt *xkaapi.Runtime, inj *xkaapi.ChaosInjector) {
 		})
 	})
 
-	// Batch-style fan-out: one root, many independent children — the shape
-	// the server's request coalescing submits.
+	// Flat fan-out: one root, many independent children.
 	run("batch", func() error {
 		return rt.Run(func(p *xkaapi.Proc) {
 			for i := 0; i < 32; i++ {

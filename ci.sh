@@ -4,7 +4,7 @@
 #
 # Tiers: static gates (gofmt, vet, the xkvet analyzer suite), tier-1
 # verify (build + full test suite), the race tier over the
-# concurrency-critical packages, the gating benchmark allocation budgets
+# concurrency-critical packages, a short fuzz tier, the gating benchmark allocation budgets
 # (bench_gates.json via `make bench-gate`), the serve/load integration
 # pipeline, and a non-gating benchmark tier that records the perf
 # trajectory as a BENCH_<n>.json artifact. Mirrors `make check` (+ the
@@ -71,6 +71,14 @@ go test -race -count=1 ./internal/chaos
 go test -race -count=1 \
 	-run 'TestChaos|TestWedged|TestBrownout|TestPanicRetries|TestRetryAfter' \
 	. ./internal/core ./server
+
+# The fuzz tier mutates raw query strings against the workload endpoints
+# for a short fixed time: no input may panic or answer 500, malformed and
+# over-cap input must be a 400 that takes no budget slot, and every 200
+# must carry a verified result. The committed seed corpus already ran in
+# tier-1; this step explores beyond it.
+echo "== fuzz tier: FuzzServeQuery (10s)"
+go test -run '^$' -fuzz FuzzServeQuery -fuzztime 10s ./server
 
 # The allocation gate is the one benchmark tier that fails the build: a
 # fast fixed-iteration smoke (-benchtime=100x) whose allocs/op — stable in

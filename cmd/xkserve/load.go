@@ -262,9 +262,9 @@ func checkShards(addr string, want int, wantSteals bool) bool {
 // the in-flight budget came back as an instant 429 — and requires at least
 // minOK of them to answer a verified 200 within slo. A queued server
 // absorbs the whole burst (modulo its queue bound): waiting a few
-// milliseconds for a slot, and riding a coalesced batch job, converts
-// would-be 429s into completed responses. The probe prints the latency
-// spread so the queue/batch knobs are tuned against numbers, not guesses.
+// milliseconds for a slot converts would-be 429s into completed
+// responses. The probe prints the latency spread so the budget and queue
+// knobs are tuned against numbers, not guesses.
 func runFibBurst(addr string, n, fibN int, slo time.Duration, minOK float64, lt *loadTally) bool {
 	url := fmt.Sprintf("%s/fib?n=%d&timeout=%s", addr, fibN, slo)
 	want := server.FibSeq(fibN)

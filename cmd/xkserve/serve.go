@@ -26,8 +26,6 @@ func runServe(args []string) int {
 	shards := fs.Int("shards", 1, "scheduler shards behind the load-aware router (1 = single pool); workers are spread evenly across shards")
 	budget := fs.Int("budget", 0, "max in-flight jobs (0 = 2x workers)")
 	queue := fs.Int("queue", 0, "admission queue depth: requests beyond the budget wait here under their deadline (0 = 4x budget, -1 = no queue)")
-	batchWindow := fs.Duration("batch-window", 0, "coalescing window for /fib and /loop (0 = 500µs default, -1ns = no batching)")
-	batchMax := fs.Int("batch-max", 0, "max requests folded into one batched job (0 = 8)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	maxFib := fs.Int("max-fib", 0, "cap on fib request size (0 = default)")
@@ -35,7 +33,7 @@ func runServe(args []string) int {
 	maxChol := fs.Int("max-chol", 0, "cap on cholesky request order (0 = default)")
 	chaosSpec := fs.String("chaos", "", "fault-injection scenario: named fragments joined with '+', optional ':<seed>' (panic, steal, stall, inbox, latency, wedge, all; e.g. stall+panic:7); empty = disabled")
 	healthStall := fs.Duration("health-stall", 0, "how long a shard may sit on a nonempty inbox without progress before the router diverts around it (0 = 400ms default; needs -shards > 1)")
-	sloP99 := fs.Duration("slo", 0, "p99 latency SLO per endpoint: past it the brownout controller degrades gracefully (sheds oversized requests, widens batch windows, /healthz reports degraded); 0 = disabled")
+	sloP99 := fs.Duration("slo", 0, "p99 latency SLO per endpoint, arrival to response (queue wait included): past it the brownout controller degrades gracefully (sheds oversized requests, /healthz reports degraded); 0 = disabled")
 	panicRetries := fs.Int("panic-retries", 0, "times a request's job is resubmitted after failing with a task panic (0 = a panic is a 500)")
 	fs.Parse(args)
 
@@ -61,8 +59,6 @@ func runServe(args []string) int {
 		Runtime:        rt,
 		Budget:         *budget,
 		QueueDepth:     *queue,
-		BatchWindow:    *batchWindow,
-		BatchMax:       *batchMax,
 		DefaultTimeout: *timeout,
 		MaxFib:         *maxFib,
 		MaxLoop:        *maxLoop,
@@ -108,7 +104,7 @@ func runServe(args []string) int {
 		fmt.Fprintf(os.Stderr, "xkserve: shutdown incomplete: %v\n", err)
 		clean = false
 	}
-	srv.Close() // no handler can submit anymore: stop the batch collectors
+	srv.Close() // no handler can submit anymore: stop the brownout controller
 	if err := rt.Wait(); err != nil {
 		// Failures here were already reported per request; jobs failing
 		// with cancellation during a drain are expected, anything else is

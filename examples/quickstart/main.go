@@ -9,10 +9,9 @@
 // handling: jobs that panic or are cancelled fail individually — the
 // runtime survives and reports the failure from Run / Job.Wait —
 // (6) serving jobs over HTTP: the same pool behind package server's
-// request-per-job front-end with deadlines, queued admission (bursts wait
-// in a bounded FIFO under their own deadline instead of bouncing 429) and
-// request coalescing (concurrent small /fib and /loop requests fold into
-// one batched job), and
+// request-per-job front-end with deadlines and queued admission (bursts
+// wait in a bounded FIFO under their own deadline instead of bouncing
+// 429), and
 // (7) deadline-aware bodies: every task sees its job's context through
 // Proc.Context — one failure state machine cancels it on panic, Cancel,
 // deadline or disconnect, in every paradigm layer of this module — and
@@ -169,11 +168,11 @@ func main() {
 	// request context (deadlines and client disconnects cancel the job).
 	// Admission is a pipeline: a bounded budget of in-flight jobs fronted
 	// by a FIFO queue where over-budget requests wait under their own
-	// deadline — 429 only when the queue itself is full — and concurrent
-	// small /fib and /loop requests coalesce into one batched job (one
-	// submit, one fan-out, per-request sub-results). /stats publishes
-	// p50/p90/p99 end-to-end and queue-wait latency per endpoint, and
-	// per-job stats come back in every response. `xkserve serve` runs this
+	// deadline — 429 only when the queue itself is full — and each
+	// admitted request runs as exactly one job. /stats publishes
+	// p50/p90/p99 latency per endpoint, measured from arrival (queue wait
+	// included), plus the queue wait alone, and per-job stats come back in
+	// every response. `xkserve serve` runs this
 	// at the command line; here we mount it in-process.
 	front := server.New(server.Config{Runtime: rt, Budget: 4})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -196,7 +195,7 @@ func main() {
 	fmt.Printf("GET /fib?n=20 -> result=%d ok=%v (job executed %d tasks)\n",
 		rep.Result, rep.OK, rep.Job.Executed)
 	httpSrv.Shutdown(context.Background())
-	front.Close() // stop the batch collectors once no handler can submit
+	front.Close() // stop the brownout controller (a no-op without an SLO)
 
 	// 7. Deadline-aware bodies. Every task body can see its job's context
 	// through Proc.Context: it carries the SubmitCtx deadline and values,

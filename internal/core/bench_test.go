@@ -53,7 +53,7 @@ func BenchmarkSpawnDataflow(b *testing.B) {
 	})
 }
 
-// Ablation A3 (DESIGN.md): the owner-side cost of the Chase–Lev deque
+// Ablation: the owner-side cost of the Chase–Lev deque
 // versus a plain mutex-protected deque. The lock-free protocol keeps the
 // owner path at a handful of uncontended atomics — including the pop of the
 // last remaining task, which the old T.H.E. variant resolved under a mutex

@@ -11,9 +11,9 @@ import (
 )
 
 // SLO configures the brownout controller: per-endpoint p99 latency targets
-// over the end-to-end request histogram. A zero target leaves that endpoint
-// unsupervised; an all-zero SLO disables the controller entirely. See
-// brownout for the control loop.
+// over the end-to-end request histogram (arrival to response, queue wait
+// included). A zero target leaves that endpoint unsupervised; an all-zero
+// SLO disables the controller entirely. See brownout for the control loop.
 type SLO struct {
 	// FibP99, LoopP99, CholP99 are the p99 targets per endpoint, measured
 	// over each evaluation window (not the cumulative histogram, so the
@@ -41,10 +41,6 @@ const (
 	// 429s rather than after.
 	brownoutQueueNum = 3
 	brownoutQueueDen = 4
-	// brownoutBatchMul widens the coalescing window of a degraded endpoint:
-	// bigger batches amortize more per-request overhead exactly when
-	// capacity is short, trading latency the SLO has already lost anyway.
-	brownoutBatchMul = 4
 	// defaultBrownoutTick spaces the evaluation windows.
 	defaultBrownoutTick = 250 * time.Millisecond
 )
@@ -56,8 +52,7 @@ type browEndpoint struct {
 	name  string
 	stats *endpointStats
 	slo   time.Duration
-	batch *batcher // nil: no coalescing to widen (cholesky, batching off)
-	maxN  int      // endpoint size cap; degraded mode sheds n > maxN/2
+	maxN  int // endpoint size cap; degraded mode sheds n > maxN/2
 
 	prev      *latency.Snapshot // previous tick's cumulative histogram
 	bad, good int               // consecutive violating / recovered windows
@@ -66,31 +61,15 @@ type browEndpoint struct {
 	lastP99  atomic.Int64 // last window's p99, ns (for /healthz reasons)
 }
 
-// setDegraded flips the endpoint's mode and applies the batch-window
-// multiplier: degraded endpoints collect brownoutBatchMul× longer.
-func (e *browEndpoint) setDegraded(v bool) {
-	if e.degraded.Load() == v {
-		return
-	}
-	e.degraded.Store(v)
-	if e.batch != nil {
-		if v {
-			e.batch.widen(brownoutBatchMul)
-		} else {
-			e.batch.widen(1)
-		}
-	}
-}
-
 // brownout is the graceful-degradation controller: a control loop that
 // compares each supervised endpoint's windowed p99 (cumulative-histogram
 // difference between ticks, see latency.Snapshot.Sub) and the admission
 // queue's saturation against the configured SLO, and flips endpoints into
 // degraded mode with hysteresis (brownoutEnterTicks in, brownoutExitTicks
 // out at brownoutExitNum/Den of the target). Degraded endpoints shed
-// oversized requests (503 + Retry-After, before a budget slot is taken)
-// and widen their coalescing window; /healthz reports "degraded" with one
-// reason line per cause while any endpoint is degraded.
+// oversized requests (503 + Retry-After, before a budget slot is taken);
+// /healthz reports "degraded" with one reason line per cause while any
+// endpoint is degraded.
 type brownout struct {
 	srv  *Server
 	tick time.Duration
@@ -115,18 +94,18 @@ func newBrownout(s *Server, cfg SLO) *brownout {
 	if b.tick <= 0 {
 		b.tick = defaultBrownoutTick
 	}
-	add := func(name string, ep *endpointStats, slo time.Duration, batch *batcher, maxN int) {
+	add := func(name string, ep *endpointStats, slo time.Duration, maxN int) {
 		if slo <= 0 {
 			return
 		}
 		b.eps = append(b.eps, &browEndpoint{
-			name: name, stats: ep, slo: slo, batch: batch, maxN: maxN,
+			name: name, stats: ep, slo: slo, maxN: maxN,
 			prev: &latency.Snapshot{},
 		})
 	}
-	add("fib", &s.fib, cfg.FibP99, s.fibBatch, s.maxFib)
-	add("loop", &s.loop, cfg.LoopP99, s.loopBatch, s.maxLoop)
-	add("cholesky", &s.chol, cfg.CholP99, nil, s.maxChol)
+	add("fib", &s.fib, cfg.FibP99, s.maxFib)
+	add("loop", &s.loop, cfg.LoopP99, s.maxLoop)
+	add("cholesky", &s.chol, cfg.CholP99, s.maxChol)
 	go b.loop()
 	return b
 }
@@ -177,12 +156,12 @@ func (b *brownout) step() {
 		case bad:
 			e.good = 0
 			if e.bad++; e.bad >= brownoutEnterTicks {
-				e.setDegraded(true)
+				e.degraded.Store(true)
 			}
 		case good:
 			e.bad = 0
 			if e.good++; e.good >= brownoutExitTicks {
-				e.setDegraded(false)
+				e.degraded.Store(false)
 			}
 		default:
 			// Between the exit fraction and the SLO: hold the current mode,

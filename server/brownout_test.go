@@ -33,10 +33,10 @@ func record(s *Server, ep *endpointStats, d time.Duration, n int) {
 }
 
 // TestBrownoutHysteresis walks the controller through a full episode: two
-// violating windows enter degraded mode (one is not enough), the batch
-// window widens, /healthz flips to "degraded" with a reason naming the
-// endpoint, and only three consecutive windows below 80% of the SLO — not
-// the first good one — recover it.
+// violating windows enter degraded mode (one is not enough), /healthz
+// flips to "degraded" with a reason naming the endpoint, and only three
+// consecutive windows below 80% of the SLO — not the first good one —
+// recover it.
 func TestBrownoutHysteresis(t *testing.T) {
 	s, url := sloServer(t, Config{SLO: SLO{FibP99: 20 * time.Millisecond}})
 
@@ -61,9 +61,6 @@ func TestBrownoutHysteresis(t *testing.T) {
 	if !s.Degraded() {
 		t.Fatal("two consecutive violating windows did not enter degraded mode")
 	}
-	if got := s.fibBatch.winMul.Load(); got != brownoutBatchMul {
-		t.Fatalf("degraded batch window multiplier = %d, want %d", got, brownoutBatchMul)
-	}
 	if body := healthz(); !strings.HasPrefix(body, "degraded") || !strings.Contains(body, "fib") {
 		t.Fatalf("degraded /healthz body = %q, want degraded + fib reason", body)
 	}
@@ -77,9 +74,6 @@ func TestBrownoutHysteresis(t *testing.T) {
 	record(s, &s.fib, time.Millisecond, 10)
 	if s.Degraded() {
 		t.Fatal("three good windows did not recover the endpoint")
-	}
-	if got := s.fibBatch.winMul.Load(); got != 1 {
-		t.Fatalf("recovered batch window multiplier = %d, want 1", got)
 	}
 	if body := healthz(); !strings.HasPrefix(body, "ok") {
 		t.Fatalf("recovered /healthz body = %q, want ok", body)
@@ -109,7 +103,7 @@ func TestBrownoutNearSLOHoldsState(t *testing.T) {
 // while small requests keep flowing; /stats counts the sheds.
 func TestBrownoutShedsOversized(t *testing.T) {
 	s, url := sloServer(t, Config{MaxFib: 30, SLO: SLO{FibP99: 20 * time.Millisecond}})
-	s.brow.epFor("fib").setDegraded(true)
+	s.brow.epFor("fib").degraded.Store(true)
 	s.brow.degraded.Store(true)
 
 	resp, err := http.Get(url + "/fib?n=20") // > 30/2: shed
@@ -211,6 +205,11 @@ func TestPanicRetriesServeThrough(t *testing.T) {
 	retried := s.fib.panicRetried.Load()
 	if retried == 0 {
 		t.Fatal("1% panic rate across 30 fib trees never triggered a retry")
+	}
+	// Every retry follows a panic-failed attempt, whose task counters must
+	// still reach the endpoint aggregates.
+	if p := s.fib.taskPanicked.Load(); p == 0 {
+		t.Fatalf("%d panic retries but task_panicked = 0: retried attempts' counters dropped", retried)
 	}
 	if c := inj.Counts(); c.TaskPanics == 0 {
 		t.Fatalf("injector fired no task panics: %+v", c)

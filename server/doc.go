@@ -29,12 +29,14 @@
 // per-request attribution a multi-tenant service needs on top of the
 // pool-global scheduler counters.
 //
-// # Admission pipeline: queue → batch → submit
+// # Admission pipeline: queue → submit
 //
-// Admission is a pipeline, not a gate. The server holds a bounded budget
-// of in-flight jobs (Config.Budget, default 2x the worker count) fronted
-// by a bounded FIFO admission queue (Config.QueueDepth, default 4x the
-// budget):
+// Admission is a pipeline, not a gate. Every admitted request becomes
+// exactly one job: one SubmitCtx, a fraction of a microsecond, and no
+// request ever waits for a neighbour to share it. The server holds a
+// bounded budget of in-flight jobs (Config.Budget, default 2x the worker
+// count) fronted by a bounded FIFO admission queue (Config.QueueDepth,
+// default 4x the budget):
 //
 //  1. A request that finds a free budget slot is admitted immediately.
 //  2. Otherwise it joins the queue and waits under its own deadline.
@@ -53,25 +55,6 @@
 // to the next live waiter — slots never leak). /healthz and /stats bypass
 // admission entirely. QueueDepth < 0 disables the queue and restores the
 // instant-429 behaviour.
-//
-// # Request coalescing
-//
-// Admitted /fib and /loop requests pass through a per-endpoint batcher: a
-// count-or-timeout collection window (Config.BatchWindow, default 500µs;
-// Config.BatchMax, default 8) folds concurrent small requests into ONE
-// runtime job — one SubmitCtx, one fan-out of per-request sub-tasks, one
-// set of job counters — instead of N jobs racing for the admission
-// budget. Each member still gets its own sub-result over a buffered
-// channel, its own verification, and its own response. The batch job runs
-// under a context that stays alive while any member's request lives:
-// a member whose deadline fires or whose client disconnects is skipped at
-// fan-out (or abandoned at the next context check) and answered 504/499,
-// while its batch neighbours are unaffected — coalescing never lets one
-// request's deadline extend or shorten another's. Batches dispatch
-// asynchronously, so collection of the next window never stalls behind
-// execution of the previous one. BatchWindow < 0 disables coalescing;
-// /cholesky requests are never coalesced (each one is already a full
-// dataflow job).
 //
 // # Status taxonomy
 //
@@ -107,7 +90,7 @@
 // race window — and requests already admitted run to completion. The
 // intended shutdown sequence on SIGTERM (see cmd/xkserve serve) is
 // StartDrain, then http.Server.Shutdown (waits for in-flight handlers,
-// hence for their jobs), then Server.Close (stops the batch collectors),
+// hence for their jobs), then Server.Close (stops the brownout controller),
 // then Runtime.Wait — whose errors.Join drain reports every job failure
 // unaccounted for by a handler — and finally Runtime.CloseErr. After that
 // drain the scheduler counters must balance:
@@ -122,10 +105,7 @@
 // one heavy endpoint cannot monopolize the pool's locality domain. The
 // workload endpoints accept an affinity=KEY query parameter (a uint64)
 // that pins the request's job to shard KEY mod shards — related requests
-// (one client, one dataset) then share one shard's caches. Affinity
-// requests bypass the coalescing batcher: a batch is one job with one
-// placement, which would silently override every member's pin but the
-// first.
+// (one client, one dataset) then share one shard's caches.
 //
 // On a sharded runtime /stats grows two fields:
 //
@@ -163,26 +143,27 @@
 // diverted away).
 //
 // Endpoint brownout (Config.SLO): a controller samples each supervised
-// endpoint's latency histogram every SLO.Tick (default 250ms) and compares
+// endpoint's latency histogram (arrival to response, so queue wait
+// counts against the SLO) every SLO.Tick (default 250ms) and compares
 // the windowed p99 — the delta between consecutive snapshots, not the
 // lifetime quantile — against the endpoint's SLO, treating a saturated
 // admission queue (depth at ≥ 3/4 of capacity) as a violation everywhere.
 // Transitions are hysteretic so the controller cannot flap: two
 // consecutive violating windows enter degradation, three consecutive
 // windows at or below 80% of the SLO leave it, and windows between 80%
-// and 100% are a dead band that holds the current state. While an
-// endpoint is degraded the server sheds its oversized requests (size
+// and 100% are a dead band that holds the current state. Degraded mode
+// only sheds: the server refuses the endpoint's oversized requests (size
 // above half the endpoint's cap) with 503 + Retry-After before they take
-// a budget slot, and widens its coalescing window 4x so small requests
-// ride in fewer, fuller batches. /healthz stays 200 but its body reports
+// a budget slot, so the remaining capacity goes to small requests that
+// can still meet the SLO. /healthz stays 200 but its body reports
 // "degraded" with one reason line per violating endpoint — draining alone
 // is 503 — and /stats mirrors the state ("degraded", "degraded_reasons",
 // per-endpoint "shed").
 //
 // Config.PanicRetries bounds a third mechanism, aimed at transient
 // crashes: a job that fails with a task panic is resubmitted up to N
-// times while the request's context is still alive (a fresh job, fresh
-// tiles for /cholesky, the whole batch for coalesced endpoints) before
+// times while the request's context is still alive (a fresh job, and
+// fresh tiles for /cholesky) before
 // the panic is surfaced as a 500. Retries are counted per endpoint as
 // "panic_retried".
 //
@@ -197,10 +178,16 @@
 //
 // /stats reports queue_cap and the live queue_depth, the per-endpoint
 // aggregates (atomics maintained from per-job stats, plus queued, 429,
-// cancelled, server_cancelled, batches and batched counts), and two
-// lock-free HDR-style histograms per endpoint (internal/latency):
-// end-to-end request latency and queue wait, each summarized as
-// count/mean/p50/p90/p99/max with ≤12.5% relative bucket error. The full
+// cancelled and server_cancelled counts; batches and batched always read
+// 0 and remain only for schema compatibility), and two lock-free
+// HDR-style histograms per endpoint (internal/latency): end-to-end
+// request latency and queue wait, each summarized as
+// count/mean/p50/p90/p99/max with ≤12.5% relative bucket error. Latency
+// runs from the request's arrival at the handler, before admission, to
+// its response status, so it includes queue wait. It covers every admitted
+// request and every request that timed out or disconnected while queued
+// (504/499); requests refused without waiting (400, 429, and 503 for shed
+// or draining) are not in it. queue_wait is the queued part alone. The full
 // scheduler counters ride along: every per-worker counter, task-path
 // included, is a cache-line-padded atomic, so mid-flight reads are
 // race-free and each value is a monotone lower bound of the true count.

@@ -45,14 +45,6 @@ type Config struct {
 	// 429. Zero selects 4x the budget; negative disables queueing
 	// (instant 429, the pre-queue behavior).
 	QueueDepth int
-	// BatchWindow is the coalescing window for the small-job endpoints
-	// (/fib, /loop): concurrent requests arriving within it are folded
-	// into one batched root job. Zero selects 500µs; negative disables
-	// batching (one job per request).
-	BatchWindow time.Duration
-	// BatchMax caps how many requests one batch may coalesce. Zero or
-	// negative selects 8.
-	BatchMax int
 	// DefaultTimeout is the per-request deadline applied when the client
 	// does not send a timeout parameter. Zero means no default deadline
 	// (the request context still cancels on client disconnect).
@@ -61,9 +53,9 @@ type Config struct {
 	// above its cap is a 400. Zeros select 40, 50_000_000 and 2048.
 	MaxFib, MaxLoop, MaxChol int
 	// SLO enables the brownout controller: per-endpoint p99 targets the
-	// server degrades gracefully against (shedding oversized requests,
-	// widening batch windows, reporting "degraded" from /healthz) instead
-	// of violating silently. The zero SLO disables the controller.
+	// server degrades gracefully against (shedding oversized requests and
+	// reporting "degraded" from /healthz) instead of violating silently.
+	// The zero SLO disables the controller.
 	SLO SLO
 	// PanicRetries resubmits a request's job up to N times when it fails
 	// with a *xkaapi.PanicError (a crashed task, injected or real), as long
@@ -88,9 +80,7 @@ type endpointStats struct {
 	cancelled       atomic.Int64 // request deadline exceeded or client disconnected
 	serverCancelled atomic.Int64 // server-side cancellation (Job.Cancel, drain): not a client disconnect
 
-	queued  atomic.Int64 // requests that waited in the admission queue
-	batches atomic.Int64 // coalesced batches dispatched (size > 1)
-	batched atomic.Int64 // requests served via a coalesced batch
+	queued atomic.Int64 // requests that waited in the admission queue
 
 	shed         atomic.Int64 // oversized requests refused while degraded (503)
 	panicRetried atomic.Int64 // panic-failed jobs resubmitted (Config.PanicRetries)
@@ -99,7 +89,7 @@ type endpointStats struct {
 	taskCancelled atomic.Int64
 	taskPanicked  atomic.Int64
 
-	latency   latency.Histogram // end-to-end: admission to response status
+	latency   latency.Histogram // arrival to response status, queue wait included; instant refusals excluded
 	queueWait latency.Histogram // time spent parked in the admission queue
 }
 
@@ -112,7 +102,10 @@ type EndpointStats struct {
 	Cancelled       int64 `json:"cancelled"`
 	ServerCancelled int64 `json:"server_cancelled"`
 
-	Queued  int64 `json:"queued"`
+	Queued int64 `json:"queued"`
+	// Batches and Batched are always 0: every request runs as its own job.
+	// They stay in the schema for consumers that still read them and go
+	// in a later revision.
 	Batches int64 `json:"batches"`
 	Batched int64 `json:"batched"`
 
@@ -136,8 +129,6 @@ func (es *endpointStats) snapshot() EndpointStats {
 		Cancelled:       es.cancelled.Load(),
 		ServerCancelled: es.serverCancelled.Load(),
 		Queued:          es.queued.Load(),
-		Batches:         es.batches.Load(),
-		Batched:         es.batched.Load(),
 		Shed:            es.shed.Load(),
 		PanicRetried:    es.panicRetried.Load(),
 		TaskExecuted:    es.taskExecuted.Load(),
@@ -166,9 +157,6 @@ type Server struct {
 	panicRetries int
 	brow         *brownout // nil: brownout controller disabled
 
-	fibBatch  *batcher // nil when batching is disabled
-	loopBatch *batcher
-
 	fib  endpointStats
 	loop endpointStats
 	chol endpointStats
@@ -178,7 +166,7 @@ type Server struct {
 // cfg.Runtime is nil (shaped by cfg.Workers and cfg.Shards). Either way
 // the caller owns the runtime's lifecycle — reach a self-built one through
 // Server.Runtime for the shutdown order described at StartDrain. Close
-// stops the coalescing collectors once no more requests can arrive.
+// stops the brownout controller once no more requests can arrive.
 func New(cfg Config) *Server {
 	if cfg.Runtime == nil {
 		opts := []xkaapi.Option{}
@@ -224,27 +212,13 @@ func New(cfg Config) *Server {
 	if s.maxChol <= 0 {
 		s.maxChol = 2048
 	}
-	window := cfg.BatchWindow
-	if window == 0 {
-		window = 500 * time.Microsecond
-	}
-	batchMax := cfg.BatchMax
-	if batchMax <= 0 {
-		batchMax = 8
-	}
-	if window > 0 {
-		s.fibBatch = newBatcher(window, batchMax, func(items []*batchItem) {
-			s.runBatch(&s.fib, items, fibKernel)
-		})
-		s.loopBatch = newBatcher(window, batchMax, func(items []*batchItem) {
-			s.runBatch(&s.loop, items, loopKernel)
-		})
-	}
 	if cfg.SLO.enabled() {
-		s.brow = newBrownout(s, cfg.SLO) // after the batchers: it widens them
+		s.brow = newBrownout(s, cfg.SLO)
 	}
-	s.mux.HandleFunc("GET /fib", s.handleFib)
-	s.mux.HandleFunc("GET /loop", s.handleLoop)
+	s.mux.HandleFunc("GET /fib", s.smallJob("fib", &s.fib, 22, s.maxFib, fibTask,
+		func(n int, res int64) bool { return res == FibSeq(n) }))
+	s.mux.HandleFunc("GET /loop", s.smallJob("loop", &s.loop, 200_000, s.maxLoop, loopKernel,
+		func(n int, res int64) bool { return res == int64(n)*int64(n-1)/2 }))
 	s.mux.HandleFunc("GET /cholesky", s.handleCholesky)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -287,18 +261,11 @@ func (s *Server) StartDrain() {
 // Draining reports whether StartDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the request-coalescing collectors and the brownout
-// controller. Call it after the HTTP server is shut down (no handler can
-// submit anymore); batches already collected still complete.
+// Close stops the brownout controller (a no-op without an SLO). Call it
+// after the HTTP server is shut down.
 func (s *Server) Close() {
 	if s.brow != nil {
 		s.brow.close()
-	}
-	if s.fibBatch != nil {
-		s.fibBatch.close()
-	}
-	if s.loopBatch != nil {
-		s.loopBatch.close()
 	}
 }
 
@@ -335,9 +302,11 @@ func (s *Server) retryOnPanic(ctx context.Context, err error, attempt int) bool 
 // FIFO queue under the request's own deadline when the budget is busy.
 // Only a full queue is refused outright (429 + Retry-After); a deadline
 // expiring or the client vanishing while queued answers 504/499 without
-// the slot ever being held. On true the caller must release() the slot
-// when the job is done.
-func (s *Server) admit(ep *endpointStats, w http.ResponseWriter, ctx context.Context) bool {
+// the slot ever being held; those waits still go into the endpoint's
+// latency histogram, measured from arrival, since they are the longest
+// latencies clients see. On true the caller must release() the slot when
+// the job is done.
+func (s *Server) admit(ep *endpointStats, w http.ResponseWriter, ctx context.Context, arrival time.Time) bool {
 	code, wait, queuedWait := s.adq.acquire(ctx)
 	if queuedWait {
 		ep.queued.Add(1)
@@ -359,9 +328,11 @@ func (s *Server) admit(ep *endpointStats, w http.ResponseWriter, ctx context.Con
 		w.Header().Set("Retry-After", strconv.Itoa(s.adq.retryAfterSecs()))
 		http.Error(w, "job budget and admission queue exhausted", http.StatusTooManyRequests)
 	case admitDeadline:
+		ep.latency.Record(time.Since(arrival))
 		ep.cancelled.Add(1)
 		http.Error(w, "deadline expired in admission queue", http.StatusGatewayTimeout)
 	case admitDisconnect:
+		ep.latency.Record(time.Since(arrival))
 		ep.cancelled.Add(1)
 		// The client is gone; the status is for logs and middleware.
 		http.Error(w, "client closed request while queued", StatusClientClosedRequest)
@@ -396,8 +367,18 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return ctx, cancel, nil
 }
 
+// addTasks folds one job's task counters into the endpoint aggregates. The
+// handlers call it once per attempt, so work done by a panic-failed attempt
+// that was then retried is counted too.
+func (es *endpointStats) addTasks(js xkaapi.JobStats) {
+	es.taskExecuted.Add(js.Executed)
+	es.taskCancelled.Add(js.Cancelled)
+	es.taskPanicked.Add(js.Panicked)
+}
+
 // finish folds one request outcome into the endpoint aggregates — outcome
-// counters and the end-to-end latency histogram — and maps it to an HTTP
+// counters and the end-to-end latency histogram, measured from arrival
+// (before admission) so it includes queue wait — and maps it to an HTTP
 // status: 200 on verified success, 504 on deadline, 499 on client
 // disconnect, 503 on a server-side cancellation or a closing runtime, 500
 // on a panic, any other failure, or a result that failed verification
@@ -411,8 +392,8 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // cancellation reaches here with a live request context and is counted as
 // server_cancelled (503: the client did nothing wrong and should retry
 // elsewhere) instead of being mislabeled a 499 client-closed-request.
-func (s *Server) finish(ep *endpointStats, start time.Time, reqCtx context.Context, err error, resultOK bool) int {
-	ep.latency.Record(time.Since(start))
+func (s *Server) finish(ep *endpointStats, arrival time.Time, reqCtx context.Context, err error, resultOK bool) int {
+	ep.latency.Record(time.Since(arrival))
 	switch {
 	case err == nil && resultOK:
 		ep.ok.Add(1)
@@ -439,27 +420,15 @@ func (s *Server) finish(ep *endpointStats, start time.Time, reqCtx context.Conte
 	}
 }
 
-// finishJob is finish plus the per-job task counters, for the
-// one-job-per-request paths (/cholesky, and /fib & /loop with batching
-// disabled). Batched requests must not use it: their batch job's counters
-// are folded in once per batch by runBatch.
-func (s *Server) finishJob(ep *endpointStats, start time.Time, reqCtx context.Context,
-	js xkaapi.JobStats, err error, resultOK bool) int {
-	ep.taskExecuted.Add(js.Executed)
-	ep.taskCancelled.Add(js.Cancelled)
-	ep.taskPanicked.Add(js.Panicked)
-	return s.finish(ep, start, reqCtx, err, resultOK)
-}
-
 // reply is the JSON body of every workload response, successful or not.
 // Result, Gflops and Residual are pointers so a legitimate zero — fib(0),
 // a verified residual of exactly 0 — is serialized instead of being
-// dropped by omitempty while ok is true.
+// dropped by omitempty while ok is true. ElapsedNS runs from submit to
+// job completion; queue wait is not in it (the /stats latency has both).
 type reply struct {
 	Endpoint  string `json:"endpoint"`
 	N         int    `json:"n"`
 	NB        int    `json:"nb,omitempty"`
-	Batch     int    `json:"batch,omitempty"` // batch size when the request rode a coalesced job
 	Result    *int64 `json:"result,omitempty"`
 	Gflops    *flt   `json:"gflops,omitempty"`
 	Residual  *flt   `json:"residual,omitempty"`
@@ -489,11 +458,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) // write error means the client is gone; nothing to do
 }
 
-// intParam parses an integer query parameter with a default and a cap.
+// intParam parses an integer query parameter with a default and a cap. An
+// absent parameter takes the default clamped to the cap, so a server
+// configured below a default never runs a request above its own cap.
 func intParam(r *http.Request, name string, def, max int) (int, error) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
-		return def, nil
+		return min(def, max), nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -23,7 +22,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close() // waits for in-flight handlers
-		s.Close()  // then stop the batch collectors
+		s.Close()  // then stop the brownout controller
 		if err := cfg.Runtime.CloseErr(); err != nil {
 			t.Logf("runtime close: %v", err)
 		}
@@ -147,12 +146,14 @@ func TestBackpressure429NoQueue(t *testing.T) {
 // TestQueueAbsorbsBurst is the tentpole contract at test scale: a burst
 // wider than the budget completes entirely with 200s because the overflow
 // waits in the admission queue instead of being 429'd, and /stats reports
-// the queue traffic.
+// the queue traffic. The test holds the only slot until the whole burst is
+// parked, so every request queues however fast the jobs run.
 func TestQueueAbsorbsBurst(t *testing.T) {
 	rt := xkaapi.New(xkaapi.WithWorkers(2), xkaapi.WithoutPinning())
 	s, ts := newTestServer(t, Config{Runtime: rt, Budget: 1}) // queue defaults to 4
+	holdSlots(t, s, 1)
 
-	const clients = 5 // 1 slot + 4 queued: exactly at capacity
+	const clients = 4 // the held slot + 4 queued: exactly at capacity
 	codes := make(chan int, clients)
 	for c := 0; c < clients; c++ {
 		go func() {
@@ -170,6 +171,8 @@ func TestQueueAbsorbsBurst(t *testing.T) {
 			codes <- resp.StatusCode
 		}()
 	}
+	waitFor(t, 5*time.Second, func() bool { return s.QueueDepth() == clients })
+	s.release()
 	for i := 0; i < clients; i++ {
 		if code := <-codes; code != http.StatusOK {
 			t.Fatalf("burst request %d: got %d, want every request queued to a 200", i, code)
@@ -181,18 +184,57 @@ func TestQueueAbsorbsBurst(t *testing.T) {
 	if s.fib.rejected.Load() != 0 {
 		t.Errorf("fib rejected = %d, want 0 (queue must absorb the burst)", s.fib.rejected.Load())
 	}
-	if s.fib.queued.Load() == 0 {
-		t.Error("fib queued = 0, want > 0: the burst should have waited in the queue")
+	if got := s.fib.queued.Load(); got != clients {
+		t.Errorf("fib queued = %d, want %d: the whole burst should have waited in the queue", got, clients)
 	}
 	if qw := s.fib.queueWait.Summary(); qw.Count != s.fib.queued.Load() {
 		t.Errorf("queue_wait count = %d, want %d (one sample per queued request)", qw.Count, s.fib.queued.Load())
 	}
 }
 
+// TestLatencyIncludesQueueWait: the /stats latency histogram runs from
+// arrival, before admission, so a request that waited in the admission
+// queue reports at least that wait — the latency its client saw — and the
+// brownout controller gating on it sees queueing too. An injected 100ms
+// handler delay after admission makes the /cholesky request hold the only
+// slot long enough that the /fib request behind it always queues.
+func TestLatencyIncludesQueueWait(t *testing.T) {
+	inj := xkaapi.NewChaosInjector(xkaapi.ChaosScenario{
+		Seed: 1, HandlerDelay: xkaapi.ChaosPulse{Prob: 1, For: 100 * time.Millisecond}})
+	s, ts := newTestServer(t, Config{Budget: 1, Chaos: inj})
+	get := func(q string, out chan<- int) {
+		resp, err := http.Get(ts.URL + q)
+		if err != nil {
+			out <- -1
+			return
+		}
+		resp.Body.Close()
+		out <- resp.StatusCode
+	}
+	chol, fib := make(chan int, 1), make(chan int, 1)
+	go get("/cholesky?n=128&nb=32", chol) // slow: holds the only slot
+	waitFor(t, 5*time.Second, func() bool { return s.InFlight() == 1 })
+	go get("/fib?n=1", fib) // fast job behind a long queue wait
+	if code := <-fib; code != http.StatusOK {
+		t.Fatalf("GET /fib: status %d, want 200", code)
+	}
+	if code := <-chol; code != http.StatusOK {
+		t.Fatalf("GET /cholesky: status %d, want 200", code)
+	}
+	if got := s.fib.queued.Load(); got != 1 {
+		t.Fatalf("fib queued = %d, want 1: the request must wait behind the cholesky job", got)
+	}
+	lat, qw := s.fib.latency.Summary(), s.fib.queueWait.Summary()
+	if lat.P50NS < qw.P50NS {
+		t.Errorf("fib latency p50 %v < queue_wait p50 %v: latency must run from arrival",
+			time.Duration(lat.P50NS), time.Duration(qw.P50NS))
+	}
+}
+
 // TestQueuedDeadline504 checks a request whose deadline expires while it
 // waits in the admission queue: 504, the budget slot is never held, and
 // the wait is attributed to the queue (cancelled count, queue_wait sample,
-// no admitted request).
+// no admitted request) and still counted in the endpoint's latency.
 func TestQueuedDeadline504(t *testing.T) {
 	s, ts := newTestServer(t, Config{Budget: 1})
 	holdSlots(t, s, 1)
@@ -214,6 +256,11 @@ func TestQueuedDeadline504(t *testing.T) {
 	if got := s.fib.queued.Load(); got != 1 {
 		t.Errorf("fib queued = %d, want 1", got)
 	}
+	lat, qw := s.fib.latency.Summary(), s.fib.queueWait.Summary()
+	if lat.Count != 1 || lat.P50NS < qw.P50NS {
+		t.Errorf("fib latency count %d p50 %v, want 1 sample of at least the queue wait %v",
+			lat.Count, time.Duration(lat.P50NS), time.Duration(qw.P50NS))
+	}
 	if got := s.InFlight(); got != 1 {
 		t.Errorf("InFlight = %d, want 1 (only the held slot; the 504'd request held none)", got)
 	}
@@ -225,7 +272,8 @@ func TestQueuedDeadline504(t *testing.T) {
 
 // TestQueuedClientDisconnect checks a client vanishing while queued: the
 // waiter is abandoned (499 path), its queue position is skipped on the
-// next release, and the slot is never leaked.
+// next release, the slot is never leaked, and the wait is counted in the
+// endpoint's latency.
 func TestQueuedClientDisconnect(t *testing.T) {
 	s, ts := newTestServer(t, Config{Budget: 1})
 	holdSlots(t, s, 1)
@@ -250,6 +298,9 @@ func TestQueuedClientDisconnect(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return s.fib.cancelled.Load() == 1 })
 	if got := s.fib.requests.Load(); got != 0 {
 		t.Errorf("fib requests = %d, want 0", got)
+	}
+	if got := s.fib.latency.Summary().Count; got != 1 {
+		t.Errorf("fib latency count = %d, want 1: a wait that ended in a disconnect is still latency", got)
 	}
 	// The abandoned waiter must not absorb the next released slot.
 	s.release()
@@ -373,71 +424,6 @@ func TestDrainAdmitRaceHammer(t *testing.T) {
 	wg.Wait()
 	if got := s.InFlight(); got != 0 {
 		t.Errorf("InFlight = %d after hammer drain, want 0", got)
-	}
-}
-
-// TestBatchCoalescing fires concurrent /fib and /loop requests with
-// distinct problem sizes into a wide-open coalescing window and checks (a)
-// every request gets its own correct sub-result — batching must never
-// cross-deliver — and (b) at least one batch actually coalesced. Run under
-// -race via `make race`.
-func TestBatchCoalescing(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithoutPinning())
-	s, ts := newTestServer(t, Config{
-		Runtime:     rt,
-		Budget:      16,
-		BatchWindow: 100 * time.Millisecond,
-		BatchMax:    8,
-	})
-
-	const clients = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			n := 10 + c
-			var rep reply
-			if code := getJSON(t, fmt.Sprintf("%s/fib?n=%d", ts.URL, n), &rep); code != http.StatusOK {
-				errs <- fmt.Errorf("fib n=%d: status %d", n, code)
-				return
-			}
-			if rep.Result == nil || *rep.Result != FibSeq(n) || !rep.OK {
-				errs <- fmt.Errorf("fib n=%d: result %v ok=%v, want %d", n, rep.Result, rep.OK, FibSeq(n))
-			}
-		}(c)
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			n := 10_000 * (c + 1)
-			want := int64(n) * int64(n-1) / 2
-			var rep reply
-			if code := getJSON(t, fmt.Sprintf("%s/loop?n=%d", ts.URL, n), &rep); code != http.StatusOK {
-				errs <- fmt.Errorf("loop n=%d: status %d", n, code)
-				return
-			}
-			if rep.Result == nil || *rep.Result != want || !rep.OK {
-				errs <- fmt.Errorf("loop n=%d: result %v ok=%v, want %d", n, rep.Result, rep.OK, want)
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if s.fib.batched.Load() < 2 && s.loop.batched.Load() < 2 {
-		t.Errorf("no coalescing observed (fib batched=%d, loop batched=%d) despite a %v window",
-			s.fib.batched.Load(), s.loop.batched.Load(), 100*time.Millisecond)
-	}
-	// Per-request outcome accounting is per member; task counters are per
-	// batch — both must reflect all requests.
-	if got := s.fib.ok.Load(); got != clients {
-		t.Errorf("fib ok = %d, want %d", got, clients)
-	}
-	if s.fib.taskExecuted.Load() == 0 || s.loop.taskExecuted.Load() == 0 {
-		t.Error("batched endpoints report zero executed tasks")
 	}
 }
 

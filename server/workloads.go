@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xkaapi"
@@ -51,66 +52,6 @@ func FibSeq(n int) int64 {
 	return a
 }
 
-// serveBatched runs one admitted small-job request through the endpoint's
-// batcher: the request joins the current coalescing window and waits for
-// its sub-result (or its own context, whichever fires first — a batch
-// neighbour can never extend this request's deadline). verify maps the
-// sub-result to the response's ok. It reports false when the batcher is
-// unavailable (disabled, stopped, or the context died before the item was
-// accepted) and the caller should fall back to the one-job path.
-func (s *Server) serveBatched(ep *endpointStats, b *batcher, w http.ResponseWriter, r *http.Request,
-	endpoint string, n int, ctx context.Context, verify func(int64) bool) bool {
-	if b == nil {
-		return false
-	}
-	it := &batchItem{n: n, ctx: ctx, done: make(chan batchResult, 1)}
-	start := time.Now()
-	if !b.submit(it) {
-		if ctx.Err() != nil {
-			// Died before joining a batch: report the cancellation.
-			rep := reply{Endpoint: endpoint, N: n, Error: ErrorLine(ctx.Err()),
-				ElapsedNS: time.Since(start).Nanoseconds()}
-			writeJSON(w, s.finish(ep, start, r.Context(), ctx.Err(), false), rep)
-			return true
-		}
-		return false // batcher stopped: direct path
-	}
-	select {
-	case res := <-it.done:
-		rep := reply{
-			Endpoint:  endpoint,
-			N:         n,
-			ElapsedNS: time.Since(start).Nanoseconds(),
-			Job:       res.stats,
-		}
-		if res.size > 1 {
-			rep.Batch = res.size
-		}
-		if res.err != nil {
-			rep.Error = ErrorLine(res.err)
-		} else {
-			rep.Result = i64Ptr(res.result)
-			rep.OK = verify(res.result)
-			if !rep.OK {
-				rep.Error = "result failed verification"
-			}
-		}
-		writeJSON(w, s.finish(ep, start, r.Context(), res.err, rep.OK), rep)
-	case <-ctx.Done():
-		// The request died while its batch was still collecting or
-		// computing; the batch keeps serving its other members (its
-		// context stays alive while any member lives) and this member's
-		// sub-task is skipped at fan-out or abandoned at the next
-		// context check. The buffered done channel absorbs the late
-		// sub-result.
-		err := ctx.Err()
-		rep := reply{Endpoint: endpoint, N: n, Error: ErrorLine(err),
-			ElapsedNS: time.Since(start).Nanoseconds()}
-		writeJSON(w, s.finish(ep, start, r.Context(), err, false), rep)
-	}
-	return true
-}
-
 // shedOversized is the brownout controller's load-shedding gate: while the
 // endpoint is degraded, requests above half its size cap are refused with
 // 503 + Retry-After before a budget slot is taken — the remaining capacity
@@ -150,141 +91,87 @@ func (s *Server) submitSmall(ctx context.Context, key uint64, hasKey bool, fn fu
 	return s.rt.SubmitCtx(ctx, fn)
 }
 
-// handleFib serves GET /fib?n=N: the fork-join recursion, coalesced with
-// concurrent /fib requests into one batched job when batching is enabled,
-// result verified against the sequential recurrence. An affinity=K
-// parameter pins the job to shard K mod shards of a sharded runtime;
-// affinity requests bypass the batcher (a batch has one placement, which
-// would silently override the pin of every member but the first).
-func (s *Server) handleFib(w http.ResponseWriter, r *http.Request) {
-	n, err := intParam(r, "n", 22, s.maxFib)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key, hasKey, err := affinityParam(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	if s.shedOversized("fib", w, n) {
-		return
-	}
-	if !s.admit(&s.fib, w, ctx) {
-		return
-	}
-	defer s.release()
-	s.chaosDelay()
-
-	verify := func(res int64) bool { return res == FibSeq(n) }
-	if !hasKey && s.serveBatched(&s.fib, s.fibBatch, w, r, "fib", n, ctx, verify) {
-		return
-	}
-
-	var res int64
-	var job *xkaapi.Job
-	var jerr error
-	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		res = 0
-		job = s.submitSmall(ctx, key, hasKey, func(p *xkaapi.Proc) { fibTask(p, &res, n) })
-		jerr = job.Wait()
-		if !s.retryOnPanic(ctx, jerr, attempt) {
-			break
+// smallJob builds the handler of a small-job endpoint, GET /fib?n=N or
+// GET /loop?n=N: one job per request running kernel(n) (parameter n
+// defaults to def and is capped at max), whose result is checked by
+// verify before the response reports ok. An affinity=K parameter pins the
+// job to shard K mod shards of a sharded runtime.
+func (s *Server) smallJob(name string, ep *endpointStats, def, max int,
+	kernel func(p *xkaapi.Proc, out *int64, n int), verify func(n int, res int64) bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		arrival := time.Now()
+		n, err := intParam(r, "n", def, max)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		s.fib.panicRetried.Add(1)
-	}
-
-	rep := reply{
-		Endpoint:  "fib",
-		N:         n,
-		ElapsedNS: time.Since(start).Nanoseconds(),
-		Job:       job.Stats(),
-	}
-	if jerr != nil {
-		rep.Error = ErrorLine(jerr)
-	} else {
-		rep.Result = i64Ptr(res)
-		rep.OK = verify(res)
-		if !rep.OK {
-			rep.Error = "result failed verification"
+		key, hasKey, err := affinityParam(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
+		ctx, cancel, err := s.requestCtx(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		defer cancel()
+		if s.shedOversized(name, w, n) {
+			return
+		}
+		if !s.admit(ep, w, ctx, arrival) {
+			return
+		}
+		defer s.release()
+		s.chaosDelay()
+
+		var res int64
+		var job *xkaapi.Job
+		var jerr error
+		start := time.Now()
+		for attempt := 0; ; attempt++ {
+			res = 0
+			job = s.submitSmall(ctx, key, hasKey, func(p *xkaapi.Proc) { kernel(p, &res, n) })
+			jerr = job.Wait()
+			ep.addTasks(job.Stats())
+			if !s.retryOnPanic(ctx, jerr, attempt) {
+				break
+			}
+			ep.panicRetried.Add(1)
+		}
+
+		rep := reply{Endpoint: name, N: n, ElapsedNS: time.Since(start).Nanoseconds(), Job: job.Stats()}
+		if jerr != nil {
+			rep.Error = ErrorLine(jerr)
+		} else {
+			rep.Result = i64Ptr(res)
+			rep.OK = verify(n, res)
+			if !rep.OK {
+				rep.Error = "result failed verification"
+			}
+		}
+		writeJSON(w, s.finish(ep, arrival, r.Context(), jerr, rep.OK), rep)
 	}
-	writeJSON(w, s.finishJob(&s.fib, start, r.Context(), job.Stats(), jerr, rep.OK), rep)
 }
 
-// handleLoop serves GET /loop?n=N: the worksharing sum kernel the gomp and
-// komp comparators run (sum of [0, n)), hosted on the adaptive foreach of
-// the shared pool — i.e. the komp mapping of "#pragma omp for" — coalesced
-// with concurrent /loop requests into one batched job when batching is
-// enabled. The result is verified against the closed form.
-func (s *Server) handleLoop(w http.ResponseWriter, r *http.Request) {
-	n, err := intParam(r, "n", 200_000, s.maxLoop)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key, hasKey, err := affinityParam(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	if s.shedOversized("loop", w, n) {
-		return
-	}
-	if !s.admit(&s.loop, w, ctx) {
-		return
-	}
-	defer s.release()
-	s.chaosDelay()
-
-	verify := func(res int64) bool { return res == int64(n)*int64(n-1)/2 }
-	if !hasKey && s.serveBatched(&s.loop, s.loopBatch, w, r, "loop", n, ctx, verify) {
-		return
-	}
-
-	var res int64
-	var job *xkaapi.Job
-	var jerr error
-	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		res = 0
-		job = s.submitSmall(ctx, key, hasKey, func(p *xkaapi.Proc) { loopKernel(p, n, &res) })
-		jerr = job.Wait()
-		if !s.retryOnPanic(ctx, jerr, attempt) {
-			break
+// loopKernel is the /loop kernel: the worksharing sum the gomp and komp
+// comparators run (sum of [0, n)), hosted on the adaptive foreach of the
+// shared pool — i.e. the komp mapping of "#pragma omp for". The result is
+// verified against the closed form.
+func loopKernel(p *xkaapi.Proc, out *int64, n int) {
+	var sum atomic.Int64
+	jctx := p.Context()
+	xkaapi.Foreach(p, 0, n, func(_ *xkaapi.Proc, lo, hi int) {
+		if jctx.Err() != nil {
+			return
 		}
-		s.loop.panicRetried.Add(1)
-	}
-
-	rep := reply{
-		Endpoint:  "loop",
-		N:         n,
-		ElapsedNS: time.Since(start).Nanoseconds(),
-		Job:       job.Stats(),
-	}
-	if jerr != nil {
-		rep.Error = ErrorLine(jerr)
-	} else {
-		rep.Result = i64Ptr(res)
-		rep.OK = verify(res)
-		if !rep.OK {
-			rep.Error = "result failed verification"
+		s := int64(0)
+		for i := lo; i < hi; i++ {
+			s += int64(i)
 		}
-	}
-	writeJSON(w, s.finishJob(&s.loop, start, r.Context(), job.Stats(), jerr, rep.OK), rep)
+		sum.Add(s)
+	})
+	*out = sum.Load()
 }
 
 // spdCache memoizes the SPD source matrices by order: generation is O(n²)
@@ -325,6 +212,7 @@ func spdSource(n int) *tile.Dense {
 // checked against the source via the ||LLᵀ-A||/||A|| residual (an O(n³)
 // check, off by default).
 func (s *Server) handleCholesky(w http.ResponseWriter, r *http.Request) {
+	arrival := time.Now()
 	n, err := intParam(r, "n", 192, s.maxChol)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -349,7 +237,7 @@ func (s *Server) handleCholesky(w http.ResponseWriter, r *http.Request) {
 	if s.shedOversized("cholesky", w, n) {
 		return
 	}
-	if !s.admit(&s.chol, w, ctx) {
+	if !s.admit(&s.chol, w, ctx, arrival) {
 		return
 	}
 	defer s.release()
@@ -369,6 +257,7 @@ func (s *Server) handleCholesky(w http.ResponseWriter, r *http.Request) {
 		var kernelErr func() error
 		job, kernelErr = cholesky.SubmitKaapi(ctx, s.rt, m)
 		raw := job.Wait()
+		s.chol.addTasks(job.Stats())
 		jerr = raw
 		if ke := kernelErr(); ke != nil {
 			jerr = ke // non-SPD diagnostic beats the generic job error
@@ -401,7 +290,7 @@ func (s *Server) handleCholesky(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, s.finishJob(&s.chol, start, r.Context(), job.Stats(), jerr, rep.OK), rep)
+	writeJSON(w, s.finish(&s.chol, arrival, r.Context(), jerr, rep.OK), rep)
 }
 
 // ErrorLine trims an error (PanicErrors carry a full stack) to its first
