@@ -12,7 +12,10 @@ test:
 # the fault-injection harness (internal/chaos), the parallel algorithms
 # that hammer it, the HTTP front-end, the public facade, and every paradigm
 # layer embedding the jobfail protocol (cilk, gomp, komp, tbbsched, quark).
-# -short keeps the stress tests at their trimmed sizes.
+# -short keeps the stress tests at their trimmed sizes. ci.sh adds a step
+# that reruns the spawn cut-off and failure tests at -cpu 1,4, so inline
+# execution is raced against real stealing, not only the one-worker path:
+#   go test -race -cpu 1,4 -run 'TestSpawnCutoff|TestPanic|TestStatsCount' . ./internal/core
 RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark
 .PHONY: race
 race:
@@ -80,10 +83,15 @@ bench-json:
 # beyond ns_warn_pct against the newest BENCH_<n>.json only warns. Budgets
 # are calibrated at this exact benchtime: short runs amortize warm-up
 # allocations (free-list slabs, pool fills, inbox growth) differently than
-# the 1s bench-json runs do.
+# the 1s bench-json runs do. Beside the internal/core microbenchmarks it
+# runs the paper's own program, BenchmarkFig1FibKaapi (fib through the
+# public facade), whose budget is exactly the benchmark closure's 2 allocs
+# per spawn: the runtime's spawn path, inline cut-off included, adds none.
 .PHONY: bench-gate
 bench-gate:
-	$(GO) test -bench=. -benchtime=100x -benchmem -run='^$$' ./internal/core | $(GO) run ./cmd/xkbenchjson gate -gates bench_gates.json
+	{ $(GO) test -bench=. -benchtime=100x -benchmem -run='^$$' ./internal/core; \
+	  $(GO) test -bench='^BenchmarkFig1FibKaapi$$' -benchtime=100x -benchmem -run='^$$' .; } \
+	  | $(GO) run ./cmd/xkbenchjson gate -gates bench_gates.json
 
 # bench-diff compares the two most recent BENCH_<n>.json artifacts with
 # xkbenchjson's diff mode and prints the per-benchmark delta table. The

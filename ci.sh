@@ -55,6 +55,14 @@ make race
 echo "== race tier: context-propagation stress"
 go test -race -run 'TestContextPropagationStress' -count=2 ./internal/core
 
+# The spawn cut-off runs a child inline once its worker already queues P
+# tasks; at P > 1 that interleaves with stealing, so the cut-off tests and
+# the failure tests (whose one-worker split the cut-off fixes) are raced
+# under GOMAXPROCS 1 and 4: multi-worker cases run both time-sliced and
+# truly parallel.
+echo "== race tier: spawn cut-off + failure accounting at -cpu 1,4"
+go test -race -cpu 1,4 -run 'TestSpawnCutoff|TestPanic|TestStatsCount' . ./internal/core
+
 # The fleet tier races the sharded paths specifically: router placement,
 # cross-shard stealing under deliberate imbalance, and the fleet-wide
 # drain/submit-storm critical section.

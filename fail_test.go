@@ -3,6 +3,7 @@ package xkaapi_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,27 +93,51 @@ func TestCloseErrFacade(t *testing.T) {
 }
 
 // TestStatsCountPanickedCancelled: the new Stats counters are visible at
-// the facade.
+// the facade. At one worker the load-based cut-off runs every Spawn after
+// the first inline, so a root that spawns 5 children and then panics leaves
+// exactly one child queued: Cancelled == 1 and the other 4 ran. Children
+// spawned with a Write access on distinct Handles are always queued, so
+// there all 5 are skipped and counted Cancelled.
 func TestStatsCountPanickedCancelled(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(1))
-	defer rt.Close()
-	rt.ResetStats()
-	rt.Run(func(p *xkaapi.Proc) {
-		for i := 0; i < 5; i++ {
-			p.Spawn(func(*xkaapi.Proc) {})
+	const n = 5
+	for _, tc := range []struct {
+		name    string
+		spawn   func(p *xkaapi.Proc, h *xkaapi.Handle, body func(*xkaapi.Proc))
+		wantRan int64
+	}{
+		{"Spawn", func(p *xkaapi.Proc, _ *xkaapi.Handle, body func(*xkaapi.Proc)) { p.Spawn(body) }, n - 1},
+		{"SpawnTask/Write", func(p *xkaapi.Proc, h *xkaapi.Handle, body func(*xkaapi.Proc)) {
+			p.SpawnTask(body, xkaapi.Write(h))
+		}, 0},
+	} {
+		rt := xkaapi.New(xkaapi.WithWorkers(1))
+		t.Cleanup(rt.Close)
+		rt.ResetStats()
+		handles := make([]xkaapi.Handle, n)
+		var ran atomic.Int64
+		rt.Run(func(p *xkaapi.Proc) {
+			for i := range handles {
+				tc.spawn(p, &handles[i], func(*xkaapi.Proc) { ran.Add(1) })
+			}
+			panic("boom-stats")
+		})
+		wantCancelled := n - tc.wantRan
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			s := rt.Stats()
+			if s.Panicked == 1 && s.Cancelled == wantCancelled && s.Spawned == s.Executed+s.Cancelled {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: Stats = %+v, want Panicked=1 Cancelled=%d, Spawned == Executed+Cancelled",
+					tc.name, s, wantCancelled)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		panic("boom-stats")
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := rt.Stats()
-		if s.Panicked == 1 && s.Cancelled == 5 {
-			break
+		if got := ran.Load(); got != tc.wantRan {
+			t.Fatalf("%s: %d children ran before the parent panicked, want %d (1 worker)",
+				tc.name, got, tc.wantRan)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("Stats = %+v, want Panicked=1 Cancelled=5", s)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

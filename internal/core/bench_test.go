@@ -21,7 +21,9 @@ func BenchmarkSpawnExecute(b *testing.B) {
 	})
 }
 
-// BenchmarkSpawnBatch amortizes the sync: 64 tasks per sync.
+// BenchmarkSpawnBatch amortizes the sync: 64 tasks per sync. At one worker
+// the load-based cut-off makes that 1 push plus 63 children run inline at
+// their spawn point per Sync.
 func BenchmarkSpawnBatch(b *testing.B) {
 	rt := NewRuntime(Config{Workers: 1})
 	defer rt.Close()

@@ -84,8 +84,12 @@ func (d *deque) init() {
 	d.buf.Store(&dequeBuf{mask: dequeInitCap - 1, slot: make([]atomic.Pointer[Task], dequeInitCap)})
 }
 
-// size is a racy estimate of the number of queued tasks; it is used only to
-// probe victims before posting a steal request.
+// size is the number of queued tasks, fast slot included. For a thief it
+// is a racy estimate, used only to probe victims before posting a steal
+// request. For the owner it is exact up to tasks stolen since the loads:
+// the owner is the only writer of tail and of a non-nil fast slot, and
+// outside popBuf head never exceeds tail. Spawn's load-based cut-off reads
+// it on the owner side.
 func (d *deque) size() int64 {
 	n := d.tail.Load() - d.head.Load()
 	if n < 0 {

@@ -62,36 +62,59 @@ func TestPanicInSpawnedChild(t *testing.T) {
 }
 
 // TestPanicCancelsRemainingTasks: with one worker, a root that spawns N
-// children and then panics must have every child skipped, visible in the
-// Cancelled counter, while the Panicked counter records the one panic.
+// children and then panics must skip every child still queued at the
+// failure, visible in the Cancelled counter, while the Panicked counter
+// records the one panic. Which children are still queued depends on how
+// they were spawned:
+//
+//   - Plain Spawn: past the load-based cut-off (the deque already holds
+//     NumWorkers == 1 task) a child runs inline at its spawn point, so
+//     exactly the first child stays queued — it is cancelled, the other
+//     N-1 ran before the panic.
+//   - SpawnTask with a Write access on a distinct Handle: the child goes
+//     through dependency registration and is always queued, never run at
+//     the spawn point, so all N are skipped.
 func TestPanicCancelsRemainingTasks(t *testing.T) {
 	const n = 50
-	rt := NewRuntime(Config{Workers: 1})
-	defer rt.Close()
-	var ran atomic.Int64
-	err := rt.Submit(func(w *Worker) {
-		for i := 0; i < n; i++ {
-			w.Spawn(func(*Worker) { ran.Add(1) })
+	for _, tc := range []struct {
+		name    string
+		spawn   func(w *Worker, h *Handle, body func(*Worker))
+		wantRan int64
+	}{
+		{"Spawn", func(w *Worker, _ *Handle, body func(*Worker)) { w.Spawn(body) }, n - 1},
+		{"SpawnTask/Write", func(w *Worker, h *Handle, body func(*Worker)) {
+			w.SpawnTask(body, Access{h, ModeWrite})
+		}, 0},
+	} {
+		rt := NewRuntime(Config{Workers: 1})
+		t.Cleanup(rt.Close)
+		handles := make([]Handle, n)
+		var ran atomic.Int64
+		err := rt.Submit(func(w *Worker) {
+			for i := range handles {
+				tc.spawn(w, &handles[i], func(*Worker) { ran.Add(1) })
+			}
+			panic("boom-before-children")
+		}).Wait()
+		wantPanicErr(t, err, "boom-before-children", "")
+		if got := ran.Load(); got != tc.wantRan {
+			t.Fatalf("%s: %d children ran before the parent panicked, want %d (1 worker)",
+				tc.name, got, tc.wantRan)
 		}
-		panic("boom-before-children")
-	}).Wait()
-	wantPanicErr(t, err, "boom-before-children", "")
-	if got := ran.Load(); got != 0 {
-		t.Fatalf("%d children ran after the parent panicked (1 worker)", got)
-	}
-	rt.Wait()
-	s := rt.Stats()
-	if s.Cancelled != n {
-		t.Fatalf("Stats.Cancelled = %d, want %d", s.Cancelled, n)
-	}
-	if s.Panicked != 1 {
-		t.Fatalf("Stats.Panicked = %d, want 1", s.Panicked)
-	}
-	// Spawn/execute/cancel accounting must balance: every created task was
-	// either executed or cancelled.
-	if s.Spawned != s.Executed+s.Cancelled {
-		t.Fatalf("spawned=%d executed=%d cancelled=%d do not balance",
-			s.Spawned, s.Executed, s.Cancelled)
+		rt.Wait()
+		s := rt.Stats()
+		if s.Cancelled != n-tc.wantRan {
+			t.Fatalf("%s: Stats.Cancelled = %d, want %d", tc.name, s.Cancelled, n-tc.wantRan)
+		}
+		if s.Panicked != 1 {
+			t.Fatalf("%s: Stats.Panicked = %d, want 1", tc.name, s.Panicked)
+		}
+		// Spawn/execute/cancel accounting must balance: every created task
+		// was either executed or cancelled.
+		if s.Spawned != s.Executed+s.Cancelled {
+			t.Fatalf("%s: spawned=%d executed=%d cancelled=%d do not balance",
+				tc.name, s.Spawned, s.Executed, s.Cancelled)
+		}
 	}
 }
 

@@ -19,14 +19,20 @@ import (
 // instead of N. The combiner lock serializes thieves per victim; it is an
 // election primitive, not a deque lock — the deque itself is lock-free.
 
+// A request moves reqEmpty → reqPosted (thief) → reqClaimed (combiner) →
+// reqReplied (combiner) → reqEmpty (thief). The claim is what makes a reply
+// safe to deliver: a thief may withdraw only a request still in reqPosted,
+// so every claimed request's thief is certain to collect its reply, and a
+// stolen task can never be left in a box nobody reads.
 const (
 	reqEmpty int32 = iota
 	reqPosted
+	reqClaimed
 	reqReplied
 )
 
-// stealSpinLimit bounds how long a thief waits for a reply before
-// withdrawing its request and trying another victim.
+// stealSpinLimit bounds how long a thief waits for a combiner to claim its
+// request before withdrawing it and trying another victim.
 const stealSpinLimit = 128
 
 // request is one slot of a victim's request box. Slot i belongs to the
@@ -41,7 +47,9 @@ type request struct {
 // stealFrom posts a steal request to victim v and waits for the reply,
 // participating in combiner election while it spins. It returns the stolen
 // task (possibly nil for an empty reply) and whether a reply was received at
-// all; (nil, false) means the request was withdrawn after spinning too long.
+// all; (nil, false) means the request was withdrawn after spinning too long
+// with no combiner having claimed it. A claimed request is always answered,
+// so past the spin limit the thief keeps waiting for that reply.
 func (w *Worker) stealFrom(v *Worker) (*Task, bool) {
 	r := &v.reqs[w.id]
 	r.task = nil
@@ -49,7 +57,7 @@ func (w *Worker) stealFrom(v *Worker) (*Task, bool) {
 	w.stats.stealRequests.Add(1)
 	for spins := 0; ; spins++ {
 		if v.comb.TryLock() {
-			w.combineServe(v)
+			w.combineServe(v, w.claimRequests(v))
 			v.comb.Unlock()
 		}
 		if r.state.Load() == reqReplied {
@@ -59,16 +67,9 @@ func (w *Worker) stealFrom(v *Worker) (*Task, bool) {
 			}
 			return r.task, true
 		}
-		if spins >= stealSpinLimit {
-			if r.state.CompareAndSwap(reqPosted, reqEmpty) {
-				return nil, false
-			}
-			// The reply landed in the withdrawal window.
-			r.state.Store(reqEmpty)
-			if r.task != nil {
-				w.stats.stealHits.Add(1)
-			}
-			return r.task, true
+		// Withdraw only a request no combiner has claimed yet.
+		if spins >= stealSpinLimit && r.state.CompareAndSwap(reqPosted, reqEmpty) {
+			return nil, false
 		}
 		if spins&15 == 15 {
 			runtime.Gosched()
@@ -76,17 +77,24 @@ func (w *Worker) stealFrom(v *Worker) (*Task, bool) {
 	}
 }
 
-// combineServe answers every request currently posted on victim v. The
-// caller must hold v.comb, which also enforces the paper's guarantee that at
-// most one thief runs v's splitter concurrently with v's task body.
-func (w *Worker) combineServe(v *Worker) {
+// claimRequests claims every request currently posted on victim v and
+// returns their slot ids. The caller must hold v.comb and must then answer
+// every claimed request (combineServe does).
+func (w *Worker) claimRequests(v *Worker) []int {
 	ids := w.reqScratch[:0]
 	for i := range v.reqs {
-		if v.reqs[i].state.Load() == reqPosted {
+		if st := &v.reqs[i].state; st.Load() == reqPosted && st.CompareAndSwap(reqPosted, reqClaimed) {
 			ids = append(ids, i)
 		}
 	}
 	w.reqScratch = ids[:0]
+	return ids
+}
+
+// combineServe answers the requests claimed on victim v (slot ids). The
+// caller must hold v.comb, which also enforces the paper's guarantee that at
+// most one thief runs v's splitter concurrently with v's task body.
+func (w *Worker) combineServe(v *Worker, ids []int) {
 	if len(ids) == 0 {
 		return
 	}

@@ -172,9 +172,19 @@ func (w *Worker) NumWorkers() int { return len(w.rt.workers) }
 func (w *Worker) Runtime() *Runtime { return w.rt }
 
 // Spawn creates a child task of the current task and enqueues it on this
-// worker's deque (non-blocking task creation, §II-B: the caller continues
-// immediately). The child has no dataflow accesses; use SpawnTask for
-// dependency-carrying tasks.
+// worker's deque (non-blocking task creation, §II-B), or runs it inline
+// past the load-based cut-off below. The child has no dataflow accesses;
+// use SpawnTask for dependency-carrying tasks.
+//
+// Load-based cut-off: when this worker's deque already holds at least
+// NumWorkers tasks, the child is not pushed but executed right here, in the
+// spawn's place, and Spawn returns once it completed — the serial elision,
+// through the same execute path (panic barrier, aborted-job skip, frame
+// credit, counters). The P−1 thieves still have P queued tasks to take, so
+// a fan-out is never serialized onto the spawner, while the deep spawns of
+// a recursive tree skip the deque push, the pop and the wake-up. A child
+// that is never stolen may therefore run at its spawn point or at the next
+// Sync; programs must not depend on which.
 //
 // Spawning into a job that has already failed cancels the child eagerly:
 // no Task is allocated or enqueued, so a deep tree that fails early stops
@@ -194,6 +204,17 @@ func (w *Worker) Spawn(fn func(*Worker)) {
 		t.job = t.parent.job
 	}
 	w.noteSpawned()
+	w.pushOrRun(t)
+}
+
+// pushOrRun publishes a freshly spawned, access-free child t, or — past the
+// load-based cut-off (see Spawn) — executes it inline; complete then sees
+// t.parent == w.cur and credits the frame exactly as for a popped child.
+func (w *Worker) pushOrRun(t *Task) {
+	if w.deque.size() >= int64(len(w.rt.workers)) {
+		w.execute(t)
+		return
+	}
 	w.deque.push(t)
 	w.rt.maybeWake()
 }
@@ -217,7 +238,10 @@ func (w *Worker) cancelEagerly() bool {
 // SpawnTask creates a child task that accesses shared data through the given
 // handles and modes. The task becomes ready once every true dependency
 // implied by the access modes is satisfied; until then it is retained by its
-// predecessors and released onto the completing worker's deque.
+// predecessors and released onto the completing worker's deque. A task
+// with at least one access always goes through that registration and is
+// never executed at the spawn point; a call with no accesses is exactly
+// Spawn, load-based cut-off included (it may run inline, see Spawn).
 //
 // Like Spawn, SpawnTask on a failed job cancels the child eagerly: it is
 // neither enqueued nor registered on its handles (safe because every other
@@ -236,8 +260,7 @@ func (w *Worker) SpawnTask(fn func(*Worker), accs ...Access) {
 	}
 	w.noteSpawned()
 	if len(accs) == 0 {
-		w.deque.push(t)
-		w.rt.maybeWake()
+		w.pushOrRun(t)
 		return
 	}
 	t.flags |= flagHasAccess

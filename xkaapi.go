@@ -127,13 +127,20 @@
 //
 // The semantics are sequential (as in Athapascan): a program whose tasks are
 // never stolen executes in program order, and dataflow dependencies make any
-// parallel execution equivalent to that order. Independent jobs are
-// unordered with respect to each other.
+// parallel execution equivalent to that order. A Spawn'd child that is never
+// stolen runs either at its spawn point (the serial elision, in depth-first
+// order) or at the next Sync; programs must not depend on which. Independent
+// jobs are unordered with respect to each other.
 //
 // Tasks are created non-blockingly and cost a few tens of nanoseconds; the
 // scheduler follows the work-first principle, pays for parallelism only when
 // idle cores actually ask for work (steal-request aggregation, adaptive
-// splitting), and keeps task objects on per-worker free lists.
+// splitting), and keeps task objects on per-worker free lists. Once the
+// spawning worker already queues as many tasks as its pool has workers (its
+// shard, under WithShards), a further Spawn (or an access-free SpawnTask)
+// runs the child inline instead of queueing it: thieves still have a full
+// deque to take from, and the deep spawns of a recursive program skip the
+// queue entirely.
 package xkaapi
 
 import (
