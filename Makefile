@@ -21,12 +21,15 @@ RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server
 race:
 	$(GO) test -race -short $(RACE_PKGS)
 
-# fuzz runs the native fuzz target over the server's query parsing
-# (intParam, affinityParam, the timeout parameter) for a short, fixed time.
-# Its committed seed corpus (server/testdata/fuzz) already runs in tier-1.
+# fuzz runs the native fuzz targets for a short, fixed time each: the
+# server's query parsing (intParam, affinityParam, the timeout parameter)
+# and the work-stealing deque against a sequential model (push/pop/steal).
+# Their committed seed corpora (server/testdata/fuzz,
+# internal/core/testdata/fuzz) already run in tier-1.
 .PHONY: fuzz
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzServeQuery -fuzztime 10s ./server
+	$(GO) test -run '^$$' -fuzz '^FuzzServeQuery$$' -fuzztime 10s ./server
+	$(GO) test -run '^$$' -fuzz '^FuzzDequeOps$$' -fuzztime 10s ./internal/core
 
 .PHONY: vet
 vet:

@@ -55,8 +55,9 @@ make race
 echo "== race tier: context-propagation stress"
 go test -race -run 'TestContextPropagationStress' -count=2 ./internal/core
 
-# The spawn cut-off runs a child inline once its worker already queues P
-# tasks; at P > 1 that interleaves with stealing, so the cut-off tests and
+# The spawn cut-off runs a child inline, in a descriptor-free virtual frame,
+# once its worker already queues P tasks; at P > 1 that interleaves with
+# stealing and frame materialization, so the cut-off tests and
 # the failure tests (whose one-worker split the cut-off fixes) are raced
 # under GOMAXPROCS 1 and 4: multi-worker cases run both time-sliced and
 # truly parallel.
@@ -86,7 +87,13 @@ go test -race -count=1 \
 # must carry a verified result. The committed seed corpus already ran in
 # tier-1; this step explores beyond it.
 echo "== fuzz tier: FuzzServeQuery (10s)"
-go test -run '^$' -fuzz FuzzServeQuery -fuzztime 10s ./server
+go test -run '^$' -fuzz '^FuzzServeQuery$' -fuzztime 10s ./server
+
+# The deque fuzz target runs byte-coded owner push/pop and thief steal
+# sequences against a sequential model: owner LIFO, thief FIFO, exact size,
+# and the fast slot holding the oldest queued task.
+echo "== fuzz tier: FuzzDequeOps (10s)"
+go test -run '^$' -fuzz '^FuzzDequeOps$' -fuzztime 10s ./internal/core
 
 # The allocation gate is the one benchmark tier that fails the build: a
 # fast fixed-iteration smoke (-benchtime=100x) whose allocs/op — stable in

@@ -170,3 +170,236 @@ func TestSpawnCutoffFanOutSpreads(t *testing.T) {
 		})
 	}
 }
+
+// A child run inline past the cut-off starts in a virtual frame: no task
+// descriptor, w.cur left at its nearest materialized ancestor, until the
+// child first queues work. The tests below pin down each accounting rule of
+// that scheme.
+
+// occupyWorker parks one of rt's workers inside a job body that waits until
+// the returned release is called, so the next job submitted runs alone on
+// the other worker and its queued children are not stolen before the test
+// lets them be. The caller must release before closing rt.
+func occupyWorker(t *testing.T, rt *Runtime) (release func()) {
+	t.Helper()
+	var started, released atomic.Bool
+	rt.Submit(func(*Worker) {
+		started.Store(true)
+		pollUntil(t, time.Minute, released.Load)
+	})
+	if !pollUntil(t, 10*time.Second, started.Load) {
+		t.Fatal("occupying job never started")
+	}
+	return func() { released.Store(true) }
+}
+
+// waitJob waits for j at most d; a job still running by then means a frame
+// whose count can no longer drain. The runtime is then left running rather
+// than closed, since Close would wait on the stuck job too.
+func waitJob(t *testing.T, j *Job, d time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- j.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("job did not finish within %v: a frame count never drained", d)
+		return nil
+	}
+}
+
+// TestSpawnCutoffVirtualFrameRunsAncestorChild: a ForEach wait inside a
+// virtual frame executes a queued child of the frame's materialized
+// ancestor. Completing it must credit the ancestor's shared counter, not
+// the owner-local frameKids, which belongs to the virtual frame: otherwise
+// the ancestor's Sync never drains; and the popped child must run in its
+// own frame, not the virtual one. The loop body stages the interleaving
+// in which a thief splits the loop off while the ancestor's children are
+// still queued (a thief takes queued tasks before splitting, so it hides
+// them for the duration of the split).
+func TestSpawnCutoffVirtualFrameRunsAncestorChild(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 2})
+	release := occupyWorker(t, rt)
+	var qRan atomic.Int32
+	var virtual, staged, split, qVirtual atomic.Bool
+	q := func(w *Worker) {
+		if w.virt {
+			qVirtual.Store(true)
+		}
+		qRan.Add(1)
+	}
+	j := rt.Submit(func(w *Worker) {
+		w.Spawn(q)                // queued
+		w.Spawn(q)                // queued: the deque now holds P
+		w.Spawn(func(w *Worker) { // inline
+			virtual.Store(w.virt)
+			w.ForEach(0, 2, LoopOpts{SeqGrain: 1}, func(w *Worker, lo, _ int64) {
+				if lo == 1 { // the split-off slice, on the other worker
+					split.Store(true)
+					pollUntil(t, 10*time.Second, func() bool { return qRan.Load() == 2 })
+					return
+				}
+				a, b := w.deque.pop(), w.deque.pop()
+				release()
+				if pollUntil(t, 10*time.Second, split.Load) {
+					staged.Store(a != nil && b != nil)
+				}
+				w.deque.push(b)
+				w.deque.push(a)
+			})
+		})
+		w.Sync()
+	})
+	if err := waitJob(t, j, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rt.Close()
+	if !virtual.Load() || !staged.Load() {
+		t.Fatalf("scenario not staged: inline child virtual=%v, split with children queued=%v",
+			virtual.Load(), staged.Load())
+	}
+	if got := qRan.Load(); got != 2 {
+		t.Fatalf("ancestor's queued children ran %d times, want 2", got)
+	}
+	if qVirtual.Load() {
+		t.Fatal("a task popped inside the virtual frame ran with the frame still marked virtual")
+	}
+	if s := rt.Stats(); s.Spawned != s.Executed+s.Cancelled {
+		t.Fatalf("spawned=%d executed=%d cancelled=%d do not balance", s.Spawned, s.Executed, s.Cancelled)
+	}
+}
+
+// TestSpawnCutoffVirtualFrameMaterializes: an inline child three levels
+// deep, still virtual, materializes once a thief has emptied the deque below
+// P, so its next Spawn is queued. Its Sync then waits for that child only —
+// the ancestor's child still queued beneath it is left alone — and control
+// unwinds through the virtual levels with every frame count intact.
+func TestSpawnCutoffVirtualFrameMaterializes(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 2})
+	release := occupyWorker(t, rt)
+	var done, virtual, materialized, kRan, kRanAtSync, q2RanAtSync, q2Ran atomic.Bool
+	j := rt.Submit(func(w *Worker) {
+		root := w.cur
+		w.Spawn(func(*Worker) { pollUntil(t, 10*time.Second, done.Load) }) // stolen
+		w.Spawn(func(*Worker) { q2Ran.Store(true) })                       // stays queued
+		w.Spawn(func(w *Worker) {
+			w.Spawn(func(w *Worker) {
+				w.Spawn(func(w *Worker) { // depth 3, inline
+					virtual.Store(w.virt && w.cur == root)
+					release()
+					if !pollUntil(t, 10*time.Second, func() bool { return w.deque.size() < 2 }) {
+						return // the thief never came: reported below
+					}
+					w.Spawn(func(*Worker) { kRan.Store(true) })
+					materialized.Store(!w.virt && w.cur != root && w.cur.job == root.job)
+					w.Sync()
+					kRanAtSync.Store(kRan.Load())
+					q2RanAtSync.Store(q2Ran.Load())
+					done.Store(true)
+				})
+			})
+		})
+		w.Sync()
+	})
+	if err := waitJob(t, j, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	done.Store(true)
+	rt.Close()
+	if !virtual.Load() || !materialized.Load() {
+		t.Fatalf("depth-3 inline child: virtual=%v, materialized after the steal=%v",
+			virtual.Load(), materialized.Load())
+	}
+	if !kRanAtSync.Load() || q2RanAtSync.Load() {
+		t.Fatalf("materialized frame's Sync: own child ran=%v, ancestor's queued child ran=%v; want true, false",
+			kRanAtSync.Load(), q2RanAtSync.Load())
+	}
+	if !q2Ran.Load() {
+		t.Fatal("ancestor's queued child never ran")
+	}
+	if s := rt.Stats(); s.Spawned != s.Executed+s.Cancelled {
+		t.Fatalf("spawned=%d executed=%d cancelled=%d do not balance", s.Spawned, s.Executed, s.Cancelled)
+	}
+}
+
+// TestSpawnCutoffMaterializedPanic: an inline child that queued a child
+// (materializing its frame) and then panics fails the job with its
+// *PanicError; the queued child is cancelled, the frame's descriptor goes
+// back on the worker's free list, and the counters balance.
+func TestSpawnCutoffMaterializedPanic(t *testing.T) {
+	withRuntime(t, Config{Workers: 1}, func(rt *Runtime) {
+		var h Handle
+		var freeBefore, freeAfter int
+		var kRan atomic.Bool
+		err := rt.Submit(func(w *Worker) {
+			w.Spawn(func(*Worker) {}) // warm the free list
+			w.Sync()
+			freeBefore = w.freeLen
+			w.Spawn(func(*Worker) {}) // queued: deque holds 1 == P
+			w.Spawn(func(w *Worker) { // inline
+				w.SpawnTask(func(*Worker) { kRan.Store(true) }, Access{&h, ModeWrite})
+				panic("boom-materialized")
+			})
+			w.Sync()
+			freeAfter = w.freeLen
+		}).Wait()
+		wantPanicErr(t, err, "boom-materialized", "")
+		if kRan.Load() {
+			t.Fatal("the panicking frame's queued child ran after the job failed")
+		}
+		if freeAfter != freeBefore {
+			t.Fatalf("free list holds %d descriptors after the job, %d before: the materialized frame leaked its descriptor",
+				freeAfter, freeBefore)
+		}
+		rt.Wait()
+		s := rt.Stats()
+		if s.Panicked != 1 || s.Cancelled != 2 {
+			t.Fatalf("Panicked=%d Cancelled=%d, want 1 and 2", s.Panicked, s.Cancelled)
+		}
+		if s.Spawned != s.Executed+s.Cancelled {
+			t.Fatalf("spawned=%d executed=%d cancelled=%d do not balance", s.Spawned, s.Executed, s.Cancelled)
+		}
+	})
+}
+
+// TestSpawnCutoffVirtualFrameSpawnTask: dataflow tasks spawned from a
+// virtual frame materialize it and are its children: they run in access
+// order, and its Sync waits for both while leaving the ancestor's queued
+// child alone.
+func TestSpawnCutoffVirtualFrameSpawnTask(t *testing.T) {
+	withRuntime(t, Config{Workers: 1}, func(rt *Runtime) {
+		var h Handle
+		var virtual, qRan, qRanEarly atomic.Bool
+		var x, y, yAtSync int64
+		err := rt.Submit(func(w *Worker) {
+			w.Spawn(func(*Worker) { qRan.Store(true) }) // queued: deque holds 1 == P
+			w.Spawn(func(w *Worker) {                   // inline
+				virtual.Store(w.virt)
+				w.SpawnTask(func(*Worker) { x = 7 }, Access{&h, ModeWrite})
+				w.SpawnTask(func(*Worker) { y = 6 * x }, Access{&h, ModeRead})
+				w.Sync()
+				yAtSync = y
+				qRanEarly.Store(qRan.Load())
+			})
+			w.Sync()
+		}).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !virtual.Load() {
+			t.Fatal("inline child did not start in a virtual frame")
+		}
+		if yAtSync != 42 {
+			t.Fatalf("after the virtual frame's Sync y = %d, want 42 (writer then reader)", yAtSync)
+		}
+		if qRanEarly.Load() || !qRan.Load() {
+			t.Fatalf("ancestor's queued child: ran before the inner Sync returned=%v, ran at all=%v",
+				qRanEarly.Load(), qRan.Load())
+		}
+		rt.Wait()
+		if s := rt.Stats(); s.Spawned != s.Executed+s.Cancelled {
+			t.Fatalf("spawned=%d executed=%d cancelled=%d do not balance", s.Spawned, s.Executed, s.Cancelled)
+		}
+	})
+}

@@ -113,7 +113,7 @@
 //
 // The per-task overhead target is the paper's: spawning and executing a
 // fork-join task should cost tens of nanoseconds, so a body a few hundred
-// instructions long still parallelizes profitably. Five mechanisms carry
+// instructions long still parallelizes profitably. Six mechanisms carry
 // the steady-state spawn/execute cycle without a single heap allocation
 // and with almost no shared-memory RMWs:
 //
@@ -144,9 +144,10 @@
 //   - The load-based spawn cut-off (worker.go): when Spawn, or SpawnTask
 //     without accesses, finds the worker's deque already holding at least
 //     P tasks (P = the shard's worker count), it does not push the child
-//     but executes it on the spot through the ordinary execute path — the
-//     serial elision, with the panic barrier, aborted-job skip, frame
-//     credit and counters unchanged. K = P costs no parallelism: while the
+//     but executes it on the spot — the serial elision, behind the same
+//     panic barrier and chaos site as a popped task, with the same
+//     counters (a child of a failed job is still cancelled eagerly at the
+//     spawn). K = P costs no parallelism: while the
 //     owner runs one child inline, the P−1 thieves have at least P queued
 //     tasks to take, so a flat fan-out is never serialized onto the
 //     spawner. For recursive fork-join the queued tasks are the oldest,
@@ -157,6 +158,24 @@
 //     10 of 10): the Fig. 1 ratio t1_over_seq fell from a median 44.9 to
 //     33.1, and fib(27) p50 at P = 2 from 47.5 to 41.6 ms, with
 //     allocations per task unchanged.
+//   - Virtual frames for inline children (worker.go runInline): a child
+//     run past the cut-off takes no descriptor. It runs with w.cur left at
+//     its nearest materialized ancestor (used only for the job) and the
+//     worker's virt flag set, so the common inline spawn writes no heap
+//     pointer — no alloc, body/parent/job stores, w.cur swap or recycle,
+//     and hence no GC write barrier while the collector is marking. The
+//     frame is materialized (materialize) only when the child first queues
+//     work: a Spawn below the cut-off, or a SpawnTask with accesses. The
+//     descriptor then takes the job but no parent, because the inline
+//     child was never counted among its parent's children, and it is
+//     drained and recycled when the child returns. Sync in a virtual frame
+//     returns at once (it has queued nothing), and complete credits the
+//     owner-local frameKids only when the parent is the running frame and
+//     that frame is not virtual. Same-host A/B (2-CPU container, go1.24,
+//     nine interleaved pairs of 20 s perfbench fib runs against the
+//     descriptor-per-inline-child tree, better in 9 of 9): t1_over_seq
+//     fell from a median 35.1 to 25.8, and fib(27) p50 at P = 2 from 40.1
+//     to 27.6 ms, with tasks and allocations per solve unchanged.
 //   - The work-presence epoch (epoch.go): a worker whose full steal sweep
 //     found every victim empty skips further sweeps until the shard's
 //     epoch — bumped by work publication toward an idle pool — moves, so

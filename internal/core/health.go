@@ -73,20 +73,11 @@ func (f *Fleet) stopHealth() {
 	f.healthWG.Wait()
 }
 
-// supervise is the supervisor loop: poll every shard's progress epoch and
-// inbox, trip stalled shards unhealthy, re-admit recovered ones, and keep
-// siblings pulling a sick shard's backlog.
+// supervise is the supervisor loop: every tick, checkHealth polls each
+// shard's progress epoch and inbox.
 func (f *Fleet) supervise(every, stallAfter time.Duration) {
 	defer f.healthWG.Done()
-	type track struct {
-		epoch int64
-		since time.Time // last time the shard was observably fine
-	}
-	tracks := make([]track, len(f.shards))
-	now := time.Now()
-	for i, s := range f.shards {
-		tracks[i] = track{epoch: s.progress.Load(), since: now}
-	}
+	tracks := f.newHealthTracks(time.Now())
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
@@ -95,36 +86,59 @@ func (f *Fleet) supervise(every, stallAfter time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		now = time.Now()
-		for i, s := range f.shards {
-			tr := &tracks[i]
-			epoch := s.progress.Load()
-			moved := epoch != tr.epoch
-			if moved {
-				tr.epoch = epoch
+		f.checkHealth(tracks, time.Now(), stallAfter)
+	}
+}
+
+// healthTrack is the supervisor's memory of one shard: the progress epoch
+// it last saw, and the last time the shard was observably fine.
+type healthTrack struct {
+	epoch int64
+	since time.Time
+}
+
+// newHealthTracks starts tracking every shard at its current epoch, as
+// fine at now.
+func (f *Fleet) newHealthTracks(now time.Time) []healthTrack {
+	tracks := make([]healthTrack, len(f.shards))
+	for i, s := range f.shards {
+		tracks[i] = healthTrack{epoch: s.progress.Load(), since: now}
+	}
+	return tracks
+}
+
+// checkHealth is one supervisor pass at time now: trip stalled shards
+// unhealthy, re-admit recovered ones, and keep siblings pulling a sick
+// shard's backlog. Supervisor-only (tracks is its private state).
+func (f *Fleet) checkHealth(tracks []healthTrack, now time.Time, stallAfter time.Duration) {
+	for i, s := range f.shards {
+		tr := &tracks[i]
+		epoch := s.progress.Load()
+		moved := epoch != tr.epoch
+		if moved {
+			tr.epoch = epoch
+		}
+		if moved || s.inbox.size() == 0 {
+			// Progressing, or nothing queued that could be starved: the
+			// stall clock restarts. An unhealthy shard re-admits on
+			// progress, or — for a shard whose backlog was stolen away
+			// while its workers stayed frozen — once it is drained AND a
+			// worker has demonstrably reached the park path again.
+			tr.since = now
+			if s.unhealthy.Load() &&
+				(moved || (s.inbox.size() == 0 && s.idle.Load() > 0)) {
+				s.setHealthy()
 			}
-			if moved || s.inbox.size() == 0 {
-				// Progressing, or nothing queued that could be starved: the
-				// stall clock restarts. An unhealthy shard re-admits on
-				// progress, or — for a shard whose backlog was stolen away
-				// while its workers stayed frozen — once it is drained AND a
-				// worker has demonstrably reached the park path again.
-				tr.since = now
-				if s.unhealthy.Load() &&
-					(moved || (s.inbox.size() == 0 && s.idle.Load() > 0)) {
-					s.setHealthy()
-				}
-				continue
-			}
-			// Nonempty inbox, epoch frozen.
-			if s.unhealthy.Load() {
-				f.rescueNudge(s) // keep siblings draining the backlog
-				continue
-			}
-			if now.Sub(tr.since) >= stallAfter {
-				s.setUnhealthy()
-				f.rescueNudge(s)
-			}
+			continue
+		}
+		// Nonempty inbox, epoch frozen.
+		if s.unhealthy.Load() {
+			f.rescueNudge(s) // keep siblings draining the backlog
+			continue
+		}
+		if now.Sub(tr.since) >= stallAfter {
+			s.setUnhealthy()
+			f.rescueNudge(s)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,29 +145,64 @@ func TestSupervisorTripsAndReadmits(t *testing.T) {
 
 // TestSupervisorIgnoresBusyShard: heavy but progressing load must never trip
 // the supervisor — progress epochs keep advancing, so no shard is marked
-// unhealthy even with a backlogged inbox.
+// unhealthy even with a backlogged inbox. The supervisor is stepped by hand
+// on a synthetic clock that jumps a full StallAfter per check, and each
+// check is taken only once the shard's epoch has observably moved: a check
+// with a backlog would trip the shard on the clock alone, so only the
+// progress rule keeps it healthy, and no host scheduling delay can.
 func TestSupervisorIgnoresBusyShard(t *testing.T) {
+	const stallAfter = 10 * time.Millisecond
 	f := NewFleet(FleetConfig{
 		Shards: 2, ShardSize: 1, NoSteal: true,
-		Health:  HealthConfig{CheckEvery: 2 * time.Millisecond, StallAfter: 10 * time.Millisecond},
+		Health:  HealthConfig{Disable: true}, // stepped by hand below
 		Runtime: Config{DisablePinning: true},
 	})
 	defer f.Close()
+	s := f.shards[0]
+	now := time.Now()
+	tracks := f.newHealthTracks(now)
+	// Job i starts its fan-out on turn i, so every check finds the rest of
+	// the backlog still queued.
+	var turn atomic.Int64
+	turn.Store(-1)
 	var jobs []*Job
-	for i := 0; i < 400; i++ {
+	for i := range 400 {
 		jobs = append(jobs, f.SubmitAffinity(context.Background(), 0, func(w *Worker) {
+			for turn.Load() < int64(i) {
+				runtime.Gosched()
+			}
 			for n := 0; n < 200; n++ {
 				w.Spawn(func(*Worker) {})
 			}
 			w.Sync()
 		}))
 	}
+	backlogChecks := 0
+	for i := range jobs {
+		epoch := s.progress.Load()
+		turn.Store(int64(i))
+		deadline := time.Now().Add(10 * time.Second)
+		for s.progress.Load() == epoch {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard published no progress for 10s on job %d", i)
+			}
+			runtime.Gosched()
+		}
+		if s.inbox.size() > 0 {
+			backlogChecks++
+		}
+		now = now.Add(stallAfter)
+		f.checkHealth(tracks, now, stallAfter)
+	}
 	for _, j := range jobs {
 		if err := j.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := f.shards[0].healthFlips.Load(); got != 0 {
+	if backlogChecks == 0 {
+		t.Fatal("no supervisor check ran while the inbox held a backlog")
+	}
+	if got := s.healthFlips.Load(); got != 0 {
 		t.Fatalf("busy-but-progressing shard flipped health %d times", got)
 	}
 }

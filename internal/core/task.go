@@ -61,6 +61,13 @@ const (
 // children drained (fully strict) → completed (successors released, parent
 // decremented) → recycled.
 //
+// A child run inline past the spawn cut-off (Worker.Spawn) skips that
+// cycle: it runs in a virtual frame with no Task at all. Its frame is
+// materialized — given a Task that is never queued, has no parent and only
+// carries the job and the frame counter its queued children credit — when
+// it first queues a child; that Task is drained and recycled when the
+// inline child returns.
+//
 // Descriptors are carved from slabs ([taskSlabSize]Task arrays, slab.go),
 // so the struct is padded to exactly two cache lines: children and wait are
 // RMW'd by thieves and the owner concurrently, and without the pad two

@@ -28,21 +28,30 @@ import (
 type Worker struct {
 	id  int
 	rt  *Runtime
-	cur *Task // task currently being executed
+	cur *Task // task currently being executed (see virt)
+
+	// virt marks the running frame as virtual: a child run inline past the
+	// spawn cut-off (runInline) that has no descriptor of its own. w.cur is
+	// then its nearest materialized ancestor, kept only for its job; the
+	// frame gets a descriptor (materialize) the first time it queues a
+	// child, and until then it has no queued children to account for.
+	virt bool
 
 	// frameKids is the owner-local half of the current frame's child
 	// counter — the Cilk-style split that keeps frame accounting off the
-	// LOCK-prefixed path: Spawn increments it with a plain add, and a child
-	// completed by this worker while its parent is still the current frame
-	// decrements it the same way. Only a child completed elsewhere (stolen,
-	// or a dataflow release landing on another worker — equivalently,
-	// whenever the completer's w.cur is not the parent) touches the shared
-	// atomic, by decrementing the parent's children counter below zero. The
-	// frame's outstanding-children count is therefore the sum
+	// LOCK-prefixed path: a pushing spawn increments it with a plain add,
+	// and a child completed by this worker while its parent is still the
+	// current frame decrements it the same way. Only a child completed
+	// elsewhere (stolen, or a dataflow release landing on another worker —
+	// equivalently, whenever the completer's current frame is not the
+	// parent, including a virtual frame running above it) touches the
+	// shared atomic, by decrementing the parent's children counter below
+	// zero. The frame's outstanding-children count is therefore the sum
 	// frameKids + children.Load(), exact at all times: frameKids ≥ 0 is
 	// spawned minus locally-completed, children ≤ 0 is minus
-	// remotely-completed. execute saves and zeroes frameKids around every
-	// nested task, so the field always belongs to w.cur's frame.
+	// remotely-completed. execute and runInline save and zero frameKids
+	// around every nested task or inline child, so the field always
+	// belongs to the running frame; a virtual frame's stays 0.
 	frameKids int32
 
 	freeList   *Task
@@ -179,12 +188,19 @@ func (w *Worker) Runtime() *Runtime { return w.rt }
 // Load-based cut-off: when this worker's deque already holds at least
 // NumWorkers tasks, the child is not pushed but executed right here, in the
 // spawn's place, and Spawn returns once it completed — the serial elision,
-// through the same execute path (panic barrier, aborted-job skip, frame
-// credit, counters). The P−1 thieves still have P queued tasks to take, so
-// a fan-out is never serialized onto the spawner, while the deep spawns of
-// a recursive tree skip the deque push, the pop and the wake-up. A child
-// that is never stolen may therefore run at its spawn point or at the next
-// Sync; programs must not depend on which.
+// with the same panic barrier, chaos site and counters as a popped task.
+// The P−1 thieves still have P queued tasks to take, so a fan-out is never
+// serialized onto the spawner, while the deep spawns of a recursive tree
+// skip the deque push, the pop and the wake-up. A child that is never
+// stolen may therefore run at its spawn point or at the next Sync; programs
+// must not depend on which.
+//
+// An inline child runs in a virtual frame (runInline): it takes no task
+// descriptor, so the common inline spawn writes no heap pointer at all. The
+// frame is materialized — given a descriptor that its queued children name
+// as parent — only when it first pushes a child (Spawn below the cut-off,
+// or SpawnTask with accesses), and that descriptor is drained and recycled
+// when the inline child returns.
 //
 // Spawning into a job that has already failed cancels the child eagerly:
 // no Task is allocated or enqueued, so a deep tree that fails early stops
@@ -196,6 +212,22 @@ func (w *Worker) Spawn(fn func(*Worker)) {
 	if w.cancelEagerly() {
 		return
 	}
+	if w.deque.size() >= int64(len(w.rt.workers)) {
+		w.runInline(fn)
+		return
+	}
+	t := w.newChild(fn)
+	w.deque.push(t)
+	w.rt.maybeWake()
+}
+
+// newChild takes a descriptor for a child of the current frame that is
+// about to be queued, materializing a virtual frame first, and credits the
+// frame's owner-local counter.
+func (w *Worker) newChild(fn func(*Worker)) *Task {
+	if w.virt {
+		w.materialize()
+	}
 	t := w.alloc()
 	t.body = fn
 	t.parent = w.cur
@@ -204,19 +236,54 @@ func (w *Worker) Spawn(fn func(*Worker)) {
 		t.job = t.parent.job
 	}
 	w.noteSpawned()
-	w.pushOrRun(t)
+	return t
 }
 
-// pushOrRun publishes a freshly spawned, access-free child t, or — past the
-// load-based cut-off (see Spawn) — executes it inline; complete then sees
-// t.parent == w.cur and credits the frame exactly as for a popped child.
-func (w *Worker) pushOrRun(t *Task) {
-	if w.deque.size() >= int64(len(w.rt.workers)) {
-		w.execute(t)
-		return
+// materialize gives a virtual frame its descriptor, so a child about to be
+// queued has a parent to wait on and to credit. The descriptor inherits
+// the job of the nearest materialized ancestor (w.cur) but not its frame:
+// parent stays nil, because the inline child was never counted among the
+// ancestor's children. runInline drains and recycles it.
+func (w *Worker) materialize() {
+	t := w.alloc()
+	if c := w.cur; c != nil {
+		t.job = c.job
 	}
-	w.deque.push(t)
-	w.rt.maybeWake()
+	w.cur = t
+	w.virt = false
+}
+
+// runInline executes fn as a child of the current frame at its spawn point,
+// in a virtual frame (see Spawn): no descriptor, and w.cur left pointing at
+// the nearest materialized ancestor. Spawn's cancelEagerly has just checked
+// the job, so the child is counted spawned and executed. Only a frame that
+// materialized while fn ran has a descriptor to drain and recycle; the
+// common case restores three owner-private fields and writes no heap
+// pointer.
+func (w *Worker) runInline(fn func(*Worker)) {
+	cur, kids, virt := w.cur, w.frameKids, w.virt
+	w.frameKids = 0
+	w.virt = true
+	var job *Job
+	if cur != nil {
+		job = cur.job
+	}
+	w.noteSpawned()
+	w.noteExecuted(job)
+	w.runBody(fn, job, 0)
+	if !w.virt {
+		t := w.cur
+		if w.frameKids+t.children.Load() != 0 {
+			w.waitFrame(&t.children)
+		}
+		if t.children.Load() != 0 {
+			t.children.Store(0) // remote-completion residue, as in execute
+		}
+		w.recycle(t)
+		w.cur = cur
+	}
+	w.frameKids = kids
+	w.virt = virt
 }
 
 // cancelEagerly implements the eager-cancel fast path shared by Spawn and
@@ -240,29 +307,23 @@ func (w *Worker) cancelEagerly() bool {
 // implied by the access modes is satisfied; until then it is retained by its
 // predecessors and released onto the completing worker's deque. A task
 // with at least one access always goes through that registration and is
-// never executed at the spawn point; a call with no accesses is exactly
-// Spawn, load-based cut-off included (it may run inline, see Spawn).
+// never executed at the spawn point, so from a virtual frame it
+// materializes the frame first (see Spawn); a call with no accesses is
+// exactly Spawn, load-based cut-off included (it may run inline).
 //
 // Like Spawn, SpawnTask on a failed job cancels the child eagerly: it is
 // neither enqueued nor registered on its handles (safe because every other
 // remaining task of the job is skipped too, so no live task can depend on
 // the unregistered access).
 func (w *Worker) SpawnTask(fn func(*Worker), accs ...Access) {
+	if len(accs) == 0 {
+		w.Spawn(fn)
+		return
+	}
 	if w.cancelEagerly() {
 		return
 	}
-	t := w.alloc()
-	t.body = fn
-	t.parent = w.cur
-	if t.parent != nil {
-		w.frameKids++ // owner-local; the atomic half only moves on remote completion
-		t.job = t.parent.job
-	}
-	w.noteSpawned()
-	if len(accs) == 0 {
-		w.pushOrRun(t)
-		return
-	}
+	t := w.newChild(fn)
 	t.flags |= flagHasAccess
 	t.accs = append(t.accs[:0], accs...)
 	t.wait.Store(1) // creation bias: not ready while registering
@@ -280,9 +341,10 @@ func (w *Worker) SpawnTask(fn func(*Worker), accs ...Access) {
 // Sync waits until every child task spawned so far by the current task, and
 // transitively all their descendants, have completed. While waiting the
 // worker schedules other ready work instead of blocking (work-first: the
-// thread that would idle becomes a thief).
+// thread that would idle becomes a thief). A virtual frame returns at
+// once: it has never queued a child, or it would have been materialized.
 func (w *Worker) Sync() {
-	if w.cur == nil {
+	if w.virt || w.cur == nil {
 		return
 	}
 	w.waitFrame(&w.cur.children)
@@ -300,10 +362,10 @@ func (w *Worker) execute(t *Task) {
 	// bump the epoch while nobody is parked, so a sweep taken before it is
 	// too stale to skip on. One owner-private store; free on the hot path.
 	w.sweepValid = false
-	prev := w.cur
-	prevKids := w.frameKids
+	prev, prevKids, prevVirt := w.cur, w.frameKids, w.virt
 	w.cur = t
 	w.frameKids = 0
+	w.virt = false
 	// Loop-slice tasks are exempt from the skip: their body (loopRun)
 	// observes the abort itself and instead of executing iterations credits
 	// them back to the loop's pending count, which must drain to zero for
@@ -314,7 +376,7 @@ func (w *Worker) execute(t *Task) {
 		j.counts.Cancelled.Add(1)
 	} else {
 		w.noteExecuted(t.job)
-		w.runBody(t)
+		w.runBody(t.body, t.job, t.flags)
 	}
 	if w.frameKids+t.children.Load() != 0 {
 		w.waitFrame(&t.children)
@@ -331,46 +393,48 @@ func (w *Worker) execute(t *Task) {
 	}
 	w.cur = prev
 	w.frameKids = prevKids
+	w.virt = prevVirt
 	w.complete(t)
 }
 
-// runBody invokes t's body with a panic barrier: a panicking body fails the
-// task's job with a *PanicError (first panic wins) instead of unwinding the
+// runBody invokes body, a task of job with the given flags (a popped task's,
+// or 0 for an inline child), with a panic barrier: a panicking body fails
+// the job with a *PanicError (first panic wins) instead of unwinding the
 // worker and killing the process. The abortUnwind sentinel — thrown to bail
 // out of a body whose job already failed, e.g. by ForEach — is recognized
 // and not counted as a user panic. A panic in a task with no job (only
 // possible for a hand-built adaptive task outside any job) is rethrown:
 // there is no handle to report it on.
-func (w *Worker) runBody(t *Task) {
+func (w *Worker) runBody(body func(*Worker), job *Job, flags uint8) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
 		if au, ok := r.(abortUnwind); ok {
-			if t.job != nil {
-				t.job.fail(au.err)
+			if job != nil {
+				job.fail(au.err)
 			}
 			return
 		}
 		w.stats.panicked.Add(1)
-		if t.job == nil {
+		if job == nil {
 			panic(r)
 		}
-		t.job.counts.Panicked.Add(1)
-		t.job.fail(jobfail.Capture(r))
+		job.counts.Panicked.Add(1)
+		job.fail(jobfail.Capture(r))
 	}()
 	// Chaos task-panic site: replace the body with an injected panic, inside
 	// the barrier above so it takes the exact path a user panic takes. Loop
 	// tasks are exempt — panicking before loopRun would strand the loop's
 	// pending count (only runChunk's barrier credits iterations back); the
 	// loop-panic site in runChunk covers that boundary instead.
-	if cz := w.rt.chaos; cz != nil && t.flags&flagLoop == 0 && t.job != nil {
+	if cz := w.rt.chaos; cz != nil && flags&flagLoop == 0 && job != nil {
 		if v, ok := cz.TaskPanic(); ok {
 			panic(v)
 		}
 	}
-	t.body(w)
+	body(w)
 }
 
 // complete releases t's dataflow successors, credits its parent's frame,
@@ -395,10 +459,14 @@ func (w *Worker) complete(t *Task) {
 		}
 	}
 	if p := t.parent; p != nil {
-		if p == w.cur {
+		if p == w.cur && !w.virt {
 			// This worker is inside p's frame right now (w.cur is only ever
-			// assigned by execute, and bodies run exactly once, so cur == p
-			// means we are executing p): credit the owner-local half.
+			// assigned by execute and materialize, and bodies run exactly
+			// once, so cur == p means we are executing p): credit the
+			// owner-local half. Under a virtual frame w.cur is merely its
+			// nearest materialized ancestor and frameKids belongs to the
+			// virtual frame — a child of that ancestor run from a wait
+			// inside it (ForEach's, say) takes the shared path below.
 			w.frameKids--
 		} else {
 			// Stolen child, or a dataflow release completing away from its
@@ -432,34 +500,12 @@ func (w *Worker) complete(t *Task) {
 // children drain: the owner-local w.frameKids (spawns minus local
 // completions, ≥ 0) plus the shared balance in c (minus remote completions,
 // ≤ 0) sum to the exact number of live children at every instant. Nested
-// execute calls save, zero and restore frameKids around each task they run,
-// so by the time schedOnce returns the field again belongs to the waiting
-// frame and the re-check is sound.
+// execute and runInline calls save, zero and restore frameKids around each
+// task they run, so by the time schedOnce returns the field again belongs
+// to the waiting frame and the re-check is sound.
 func (w *Worker) waitFrame(c *atomic.Int32) {
 	idle := 0
 	for w.frameKids+c.Load() != 0 {
-		if w.schedOnce() {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle == 1 {
-			w.flushStats() // out of work: publish cached counters
-		}
-		if idle < idleSpinBeforeSleep {
-			runtime.Gosched()
-		} else {
-			time.Sleep(idleSleep) //xk:allow(hotpath): idle backoff — out of work by definition
-		}
-	}
-}
-
-// waitCounter schedules ready work until *c drains to zero. Used for plain
-// shared counters with no owner-local half (the ForEach pending count);
-// frame drains go through waitFrame.
-func (w *Worker) waitCounter(c *atomic.Int32) {
-	idle := 0
-	for c.Load() != 0 {
 		if w.schedOnce() {
 			idle = 0
 			continue
@@ -692,7 +738,7 @@ func (w *Worker) run() {
 		// Cross-shard rebalancing is the last resort, tried only once the
 		// whole home shard (deque, inbox, steal sweep) came up empty: pull a
 		// queued root from a loaded sibling shard's inbox. Top level only —
-		// a worker waiting inside a frame (waitCounter) leans toward
+		// a worker waiting inside a frame (waitFrame, ForEach) leans toward
 		// finishing the computation it is part of instead of opening a
 		// sibling shard's job.
 		if t := rt.stealRoot(); t != nil {

@@ -140,7 +140,10 @@
 // shard, under WithShards), a further Spawn (or an access-free SpawnTask)
 // runs the child inline instead of queueing it: thieves still have a full
 // deque to take from, and the deep spawns of a recursive program skip the
-// queue entirely.
+// queue entirely. Such an inline child does not even take a task object:
+// it runs in a virtual frame, which gets one only when the child itself
+// first queues work (a Spawn that finds the deque below the cut-off, or a
+// SpawnTask with accesses).
 package xkaapi
 
 import (
